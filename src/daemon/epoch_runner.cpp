@@ -37,9 +37,9 @@ void shard_line(std::string& out, const char* name, std::uint32_t shard,
 }
 
 /// The deterministic tier: everything here derives from settled post-drain
-/// counters and the canonical merged sample order — no wall clock, no
-/// scrape-time state — so a rate-paced live run and an offline replay of
-/// the same trace render byte-identical text.
+/// counters and the merged per-shard RTT histograms (order-independent bin
+/// sums) — no wall clock, no scrape-time state — so a rate-paced live run
+/// and an offline replay of the same trace render byte-identical text.
 std::string render_final_report(const runtime::ShardedMonitor& monitor,
                                 std::uint64_t cycle) {
   std::string out;
@@ -67,10 +67,7 @@ std::string render_final_report(const runtime::ShardedMonitor& monitor,
   line(out, "dart_lost_to_crash_total", merged.runtime.lost_to_crash);
   line(out, "dart_samples_total", merged.samples);
 
-  analytics::LogHistogram hist;
-  for (const core::RttSample& sample : monitor.merged_samples()) {
-    hist.add(sample.rtt());
-  }
+  const analytics::LogHistogram hist = monitor.merged_histogram();
   line(out, "dart_rtt_ns_count", hist.count());
   line(out, "dart_rtt_ns_min", hist.min());
   line(out, "dart_rtt_ns_max", hist.max());
@@ -125,6 +122,9 @@ std::string EpochRunner::run_cycle(PacketSource& source, const StopFn& stop) {
   runtime::ShardedConfig sharded;
   sharded.shards = config_.shards;
   sharded.epoch_interval_packets = config_.epoch_interval;
+  // The report needs only the histograms; keeping the raw stream would
+  // grow memory with uptime.
+  sharded.retain_samples = false;
 #if defined(DART_TELEMETRY)
   sharded.telemetry = config_.telemetry;
 #endif

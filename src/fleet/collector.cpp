@@ -148,7 +148,7 @@ FleetCollector::FleetCollector(CollectorConfig config)
   vantages_.resize(config_.vantages);
   pending_.resize(config_.vantages);
   for (std::uint64_t v = 0; v < config_.vantages; ++v) {
-    vantages_[v].info.name = "v" + std::to_string(v);
+    vantages_[v].info.name = default_vantage_name(v);
   }
 }
 
@@ -211,7 +211,7 @@ bool FleetCollector::apply_frame(std::uint64_t vantage,
       status.has_manifest = true;
       status.info = frame.info;
       if (status.info.name.empty()) {
-        status.info.name = "v" + std::to_string(vantage);
+        status.info.name = default_vantage_name(vantage);
       }
       status.state = VantageState::kLive;
       ++status.frames_accepted;

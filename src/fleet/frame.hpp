@@ -118,6 +118,9 @@ struct VantageInfo {
   friend bool operator==(const VantageInfo&, const VantageInfo&) = default;
 };
 
+/// "v<id>": the name a vantage goes by when its manifest names none.
+std::string default_vantage_name(std::uint64_t vantage);
+
 /// Raw wire form of a cumulative RTT histogram: the `LogHistogram` layout
 /// (log10 bounds + per-bin counts) plus the exact seen extrema. Kept as
 /// plain fields here so the frame layer stays a pure codec — the collector

@@ -16,7 +16,7 @@ VantageExporter::VantageExporter(VantageExporterConfig config,
                                  SnapshotSink& sink)
     : config_(std::move(config)), sink_(sink) {
   if (config_.name.empty()) {
-    config_.name = "v" + std::to_string(config_.vantage);
+    config_.name = default_vantage_name(config_.vantage);
   }
 }
 

@@ -49,9 +49,15 @@ void ShardedMonitor::start(MonitorFactory factory) {
 #if defined(DART_TELEMETRY)
     shard->metrics = config_.telemetry;
 #endif
-    // The callback writes the worker-private log: the worker thread is the
-    // only caller of monitor->process, hence the only writer.
-    shard->monitor = factory(i, shard->samples.callback());
+    // The callback writes the worker-private histogram (and log): the
+    // worker thread is the only caller of monitor->process, hence the only
+    // writer.
+    Shard* const sink = shard.get();
+    const bool retain = config_.retain_samples;
+    shard->monitor = factory(i, [sink, retain](const core::RttSample& sample) {
+      sink->rtt.add(sample.rtt());
+      if (retain) sink->samples.append(sample);
+    });
     shard->pending.reserve(config_.batch_size);
     shards_.push_back(std::move(shard));
   }
@@ -346,6 +352,15 @@ std::vector<core::RttSample> ShardedMonitor::merged_samples() const {
     merged.insert(merged.end(), samples.begin(), samples.end());
   }
   deterministic_order(merged);
+  return merged;
+}
+
+analytics::LogHistogram ShardedMonitor::merged_histogram() const {
+  assert(finished_ && "results require finish()");
+  analytics::LogHistogram merged;
+  for (const auto& shard : shards_) {
+    if (!shard->detached) merged.merge(shard->rtt);
+  }
   return merged;
 }
 

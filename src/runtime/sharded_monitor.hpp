@@ -1,8 +1,9 @@
 // ShardedMonitor: flow-affinity parallel replay across N worker threads.
 //
-//                      +-> [ring] -> worker 0: DartMonitor -> SampleLog 0
-//   packets -> router -+-> [ring] -> worker 1: DartMonitor -> SampleLog 1
-//                      +-> [ring] -> worker 2: DartMonitor -> SampleLog 2
+//                      +-> [ring] -> worker 0: DartMonitor -> histogram 0
+//   packets -> router -+-> [ring] -> worker 1: DartMonitor -> histogram 1
+//                      +-> [ring] -> worker 2: DartMonitor -> histogram 2
+//                                        (+ SampleLog i if retain_samples)
 //
 // The caller's thread routes each packet by the canonical 4-tuple hash onto
 // one of N shards; each shard is a worker thread owning a private monitor
@@ -20,6 +21,15 @@
 // so equal multisets compare equal as vectors. Bounded tables shared by
 // many flows break this equivalence by design (shards see different
 // collision patterns); the differential tests pin down both regimes.
+//
+// Bin in place: every worker also folds each sample into a private
+// fixed-geometry LogHistogram as it is emitted. Bin counts, min and max do
+// not depend on sample order, and all shards share one layout, so
+// `merged_histogram()` is an exact bin-by-bin sum — equal to a histogram
+// folded from `merged_samples()` without sorting or keeping the stream.
+// Retaining the raw samples is opt-in (`retain_samples`); long-running
+// consumers (dartd, the fleet vantage) turn it off and hold O(bins) per
+// shard however long the cycle runs.
 //
 // Graceful degradation: backpressure is *bounded*. When a shard's ring
 // stays full past the OverloadPolicy's deadline (spin -> exponential
@@ -43,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "analytics/histogram.hpp"
 #include "analytics/sample_log.hpp"
 #include "common/packet.hpp"
 #include "common/thread_annotations.hpp"
@@ -89,6 +100,12 @@ struct ShardedConfig {
   /// shed/backpressure accounting, and result merging are identical in
   /// both modes; only the worker's inner loop changes.
   bool batched_workers = true;
+
+  /// Keep every RTT sample in its shard's SampleLog, for shard_samples()
+  /// and merged_samples(). The per-shard histograms behind
+  /// merged_histogram() are fed either way; false drops the raw stream so
+  /// result memory stays O(shards * bins) for the whole run.
+  bool retain_samples = true;
 
   /// How hard the router waits on a full ring before shedding the batch.
   OverloadPolicy overload;
@@ -182,6 +199,7 @@ class ShardedMonitor {
   /// Per-shard results; valid only after finish(). A force-detached
   /// shard's samples are unreadable (its worker may still touch them) and
   /// come back empty; its stats carry only the RuntimeHealth accounting.
+  /// Without retain_samples every log is empty.
   const analytics::SampleLog& shard_samples(std::uint32_t shard) const;
   core::DartStats shard_stats(std::uint32_t shard) const;
 
@@ -194,8 +212,15 @@ class ShardedMonitor {
 
   /// All shards' samples in the canonical `sample_less` order — the
   /// deterministic merge. Valid only after finish(); skips force-detached
-  /// shards (their logs are not safely readable).
+  /// shards (their logs are not safely readable). Empty without
+  /// retain_samples.
   std::vector<core::RttSample> merged_samples() const;
+
+  /// All shards' RTT histograms merged (default LogHistogram geometry).
+  /// Same skip rule as merged_samples(): a killed worker's pre-kill samples
+  /// count, a force-detached shard's do not. Valid only after finish();
+  /// independent of retain_samples.
+  analytics::LogHistogram merged_histogram() const;
 
   /// Wait up to `timeout_ns` for any force-detached workers to finally
   /// exit (e.g. after a fault plan released a hang). Returns true when
@@ -207,9 +232,10 @@ class ShardedMonitor {
 
   // Lock-free cross-thread protocol, in DART_PUBLISHED_BY terms: the
   // constructing thread publishes monitor/faults/metrics to the worker via
-  // thread creation; the worker publishes samples/final_stats back with its
-  // exited release-store, which finish() acquires via join (or an exited
-  // load, for a detached worker). Everything else is single-thread-owned.
+  // thread creation; the worker publishes samples/rtt/final_stats back
+  // with its exited release-store, which finish() acquires via join (or an
+  // exited load, for a detached worker). Everything else is
+  // single-thread-owned.
   struct Shard {
     explicit Shard(std::size_t queue_batches) : queue(queue_batches) {}
 
@@ -217,6 +243,7 @@ class ShardedMonitor {
     // Worker-owned while running; readable only after exited.
     std::unique_ptr<ReplayMonitor> monitor DART_PUBLISHED_BY(exited);
     analytics::SampleLog samples DART_PUBLISHED_BY(exited);
+    analytics::LogHistogram rtt DART_PUBLISHED_BY(exited);
     core::DartStats final_stats DART_PUBLISHED_BY(exited);
     PacketBatch pending;  // router-side accumulation
     std::thread thread;

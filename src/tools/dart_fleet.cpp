@@ -316,6 +316,7 @@ int run_vantage_sharded(const VantageOptions& options,
   dart::runtime::ShardedConfig config;
   config.shards = static_cast<std::uint32_t>(options.shards);
   config.epoch_interval_packets = interval;
+  config.retain_samples = false;  // the frame carries the histogram only
   config.on_epoch = [&exporter](std::uint64_t epoch, std::uint64_t routed) {
     // Router-thread barrier: progress-only heartbeats; the cumulative
     // state frame comes after quiesce, when the counters are settled.
@@ -336,13 +337,10 @@ int run_vantage_sharded(const VantageOptions& options,
         stats.packets_processed + stats.runtime.shed_packets +
         stats.runtime.abandoned_packets + stats.runtime.lost_to_crash);
   }
-  // The sharded runtime only settles its sample stream at finish(), so the
-  // histogram rides the final frame (heartbeats at the barriers carry no
-  // state anyway).
-  dart::analytics::LogHistogram rtt;
-  for (const dart::core::RttSample& sample : monitor.merged_samples()) {
-    rtt.add(sample.rtt());
-  }
+  // The sharded runtime only settles its per-shard histograms at finish(),
+  // so the merged histogram rides the final frame (heartbeats at the
+  // barriers carry no state anyway).
+  const dart::analytics::LogHistogram rtt = monitor.merged_histogram();
   const std::uint64_t epochs_fired = slice.size() / interval;
   exporter.publish_final(
       epochs_fired + 1, slice.size(), nullptr,

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analytics/histogram.hpp"
 #include "daemon/epoch_runner.hpp"
 #include "daemon/replay_source.hpp"
 #include "gen/workload.hpp"
+#include "runtime/sharded_monitor.hpp"
 
 namespace dart {
 namespace {
@@ -167,6 +171,62 @@ TEST(EpochRunner, RotatesFreshMonitorPerCycle) {
   const std::string tail1 = report1.substr(report1.find("dartd_epochs"));
   const std::string tail2 = report2.substr(report2.find("dartd_epochs"));
   EXPECT_EQ(tail1, tail2);
+}
+
+// Every "dart_rtt_ns*" line of a report, in order.
+std::string rtt_lines(const std::string& report) {
+  std::istringstream in(report);
+  std::string out;
+  std::string text;
+  while (std::getline(in, text)) {
+    if (text.rfind("dart_rtt_ns", 0) == 0) {
+      out += text;
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+std::string g17(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+// The drained report bins samples in place on the workers and merges the
+// per-shard histograms. Rendering the same lines again from a
+// sample-retaining run of the same trace — every sample kept, sorted and
+// folded into a default LogHistogram — must give the same bytes. This pins
+// the workers' histogram geometry and the merge's skip rule to the
+// retained-sample path.
+TEST(EpochRunner, RttLinesMatchFoldOfRetainedSamples) {
+  const trace::Trace trace = daemon_workload();
+  const daemon::DaemonConfig config = runner_config(1000);
+  daemon::EpochRunner runner(config);
+  daemon::ReplaySource source{trace};
+  const std::string report = runner.run_cycle(source, {});
+
+  runtime::ShardedConfig sharded;
+  sharded.shards = config.shards;
+  sharded.retain_samples = true;
+  runtime::ShardedMonitor monitor(sharded, config.dart);
+  monitor.process_all(trace.packets());
+  monitor.finish();
+  analytics::LogHistogram hist;
+  for (const core::RttSample& sample : monitor.merged_samples()) {
+    hist.add(sample.rtt());
+  }
+  ASSERT_GT(hist.count(), 0U);
+
+  std::ostringstream expected;
+  expected << "dart_rtt_ns_count " << hist.count() << "\n"
+           << "dart_rtt_ns_min " << hist.min() << "\n"
+           << "dart_rtt_ns_max " << hist.max() << "\n";
+  for (const double q : {0.5, 0.9, 0.99}) {
+    expected << "dart_rtt_ns{quantile=\"" << g17(q) << "\"} "
+             << g17(hist.quantile(q)) << "\n";
+  }
+  EXPECT_EQ(rtt_lines(report), expected.str());
 }
 
 TEST(EpochRunner, EmptySourceDrainsCleanly) {

@@ -108,8 +108,12 @@ INSTANTIATE_TEST_SUITE_P(
           info.param.policy == EvictionPolicy::kEvictYoungest ? "Youngest"
           : info.param.policy == EvictionPolicy::kEvictOldest ? "Oldest"
                                                               : "Never";
-      return "k" + std::to_string(info.param.stages) + "r" +
-             std::to_string(info.param.budget) + policy;
+      std::string name = "k";
+      name += std::to_string(info.param.stages);
+      name += 'r';
+      name += std::to_string(info.param.budget);
+      name += policy;
+      return name;
     });
 
 }  // namespace

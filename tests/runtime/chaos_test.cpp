@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "analytics/histogram.hpp"
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/fault_injection.hpp"
@@ -298,6 +299,71 @@ TEST(Chaos, CombinedStallAndKillAcrossShards) {
   EXPECT_EQ(faulty.health.forced_detaches, 0U);
   EXPECT_EQ(faulty.merged.packets_processed + faulty.health.shed_packets,
             trace.packets().size());
+}
+
+analytics::LogHistogram fold(const std::vector<core::RttSample>& samples) {
+  analytics::LogHistogram hist;
+  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
+  return hist;
+}
+
+void expect_same_histogram(const analytics::LogHistogram& got,
+                           const analytics::LogHistogram& want) {
+  EXPECT_EQ(got.bins(), want.bins());
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+}
+
+TEST(Chaos, KilledWorkerHistogramKeepsPreKillSamples) {
+  // merged_histogram() follows merged_samples()' skip rule: a killed
+  // worker's samples up to the kill are results like any other shard's.
+  const trace::Trace trace = chaos_workload(1337);
+  runtime::FaultPlan plan;
+  plan.kill(/*shard=*/1, /*after_batches=*/40);
+  runtime::ShardedMonitor sharded(chaos_config(&plan), monitor_config());
+  sharded.process_all(trace.packets());
+  sharded.finish();
+
+  ASSERT_EQ(sharded.health().workers_killed, 1U);
+  ASSERT_GT(sharded.shard_samples(1).size(), 0U)
+      << "the kill must land after shard 1 emitted samples";
+  const analytics::LogHistogram hist = sharded.merged_histogram();
+  expect_same_histogram(hist, fold(sharded.merged_samples()));
+  EXPECT_EQ(hist.count(), sharded.merged_stats().samples);
+}
+
+TEST(Chaos, ForceDetachedShardIsExcludedFromHistogram) {
+  // A force-detached shard's histogram is never read, even once its
+  // zombie worker has run out: the merge equals the fold of the readable
+  // shards' samples, and the undisturbed shards match a fault-free run.
+  const trace::Trace trace = chaos_workload(99);
+  runtime::ShardedMonitor clean(chaos_config(nullptr), monitor_config());
+  clean.process_all(trace.packets());
+  clean.finish();
+  ASSERT_EQ(clean.health().shed_packets, 0U);
+
+  runtime::FaultPlan plan;
+  plan.hang(/*shard=*/0, /*at_batch=*/40);
+  runtime::ShardedConfig config = chaos_config(&plan);
+  config.join_timeout_ns = 100'000'000;  // 100 ms
+  runtime::ShardedMonitor sharded(config, monitor_config());
+  sharded.process_all(trace.packets());
+  sharded.finish();
+  ASSERT_EQ(sharded.health().forced_detaches, 1U);
+
+  const analytics::LogHistogram hist = sharded.merged_histogram();
+  expect_same_histogram(hist, fold(sharded.merged_samples()));
+  std::uint64_t undisturbed = 0;
+  for (std::uint32_t i = 1; i < clean.shards(); ++i) {
+    undisturbed += clean.shard_stats(i).samples;
+  }
+  EXPECT_EQ(hist.count(), undisturbed);
+  EXPECT_EQ(hist.count(), sharded.merged_stats().samples);
+
+  plan.release_hangs();
+  ASSERT_TRUE(sharded.await_detached(sec(30)));
+  expect_same_histogram(sharded.merged_histogram(), hist);
 }
 
 TEST(Chaos, FaultFreePlanIsANoOp) {

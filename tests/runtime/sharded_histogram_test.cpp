@@ -1,0 +1,120 @@
+// Bin-in-place aggregation of the sharded runtime: each worker folds its
+// samples into a private LogHistogram as they are emitted, and
+// merged_histogram() sums those. The fold is order-independent and every
+// shard shares the default layout, so the merged histogram must equal one
+// folded from the retained, sorted sample stream — bins, count, min and
+// max — across shard counts, table regimes and worker modes. Turning
+// retention off must leave every log empty and the histogram unchanged.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "analytics/histogram.hpp"
+#include "gen/workload.hpp"
+#include "runtime/sharded_monitor.hpp"
+
+namespace dart {
+namespace {
+
+trace::Trace histogram_workload() {
+  gen::CampusConfig config;
+  config.seed = 0x4157;
+  config.connections = 1500;
+  config.duration = sec(4);
+  return gen::build_campus(config);
+}
+
+core::DartConfig unbounded_config() {
+  core::DartConfig config;
+  config.leg = core::LegMode::kBoth;
+  config.rt_idle_timeout = sec(2);
+  return config;
+}
+
+// Small shared tables: heavy collisions and eviction, so each shard's
+// sample stream depends on what else hashed there — the regime where the
+// sharded run no longer equals a single monitor, but must still equal
+// itself folded either way.
+core::DartConfig bounded_config() {
+  core::DartConfig config = unbounded_config();
+  config.rt_size = 1 << 9;
+  config.pt_size = 1 << 9;
+  config.pt_stages = 2;
+  config.max_recirculations = 4;
+  return config;
+}
+
+analytics::LogHistogram fold(const std::vector<core::RttSample>& samples) {
+  analytics::LogHistogram hist;
+  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
+  return hist;
+}
+
+void expect_same_histogram(const analytics::LogHistogram& got,
+                           const analytics::LogHistogram& want) {
+  EXPECT_TRUE(got.same_layout(want));
+  EXPECT_EQ(got.bins(), want.bins());
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+}
+
+struct Case {
+  const char* name;
+  core::DartConfig dart;
+};
+
+TEST(ShardedHistogram, MergedHistogramEqualsFoldOfMergedSamples) {
+  const trace::Trace trace = histogram_workload();
+  const Case cases[] = {{"unbounded", unbounded_config()},
+                        {"bounded", bounded_config()}};
+  for (const Case& c : cases) {
+    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+      for (const bool batched : {false, true}) {
+        SCOPED_TRACE(c.name);
+        SCOPED_TRACE(shards);
+        SCOPED_TRACE(batched ? "batched" : "scalar");
+        runtime::ShardedConfig config;
+        config.shards = shards;
+        config.batched_workers = batched;
+
+        runtime::ShardedMonitor retained(config, c.dart);
+        retained.process_all(trace.packets());
+        retained.finish();
+        const std::vector<core::RttSample> samples =
+            retained.merged_samples();
+        ASSERT_GT(samples.size(), 0U);
+        const analytics::LogHistogram hist = retained.merged_histogram();
+        expect_same_histogram(hist, fold(samples));
+        EXPECT_EQ(hist.count(), retained.merged_stats().samples);
+
+        config.retain_samples = false;
+        runtime::ShardedMonitor binned(config, c.dart);
+        binned.process_all(trace.packets());
+        binned.finish();
+        for (std::uint32_t i = 0; i < binned.shards(); ++i) {
+          EXPECT_TRUE(binned.shard_samples(i).empty());
+        }
+        EXPECT_TRUE(binned.merged_samples().empty());
+        expect_same_histogram(binned.merged_histogram(), hist);
+        EXPECT_EQ(binned.merged_stats().samples,
+                  retained.merged_stats().samples);
+      }
+    }
+  }
+}
+
+TEST(ShardedHistogram, EmptyStreamMergesToEmptyHistogram) {
+  runtime::ShardedConfig config;
+  config.shards = 4;
+  config.retain_samples = false;
+  runtime::ShardedMonitor sharded(config, core::DartConfig{});
+  sharded.finish();
+  const analytics::LogHistogram hist = sharded.merged_histogram();
+  EXPECT_EQ(hist.count(), 0U);
+  EXPECT_TRUE(hist.same_layout(analytics::LogHistogram{}));
+}
+
+}  // namespace
+}  // namespace dart
