@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rtt_sample.hpp"
@@ -22,6 +23,10 @@ namespace dart::analytics {
 /// the workers join.
 class SampleLog {
  public:
+  SampleLog() = default;
+  explicit SampleLog(std::vector<core::RttSample> samples)
+      : samples_(std::move(samples)) {}
+
   void append(const core::RttSample& sample) { samples_.push_back(sample); }
 
   /// Sink adapter for monitor constructors. The log must outlive the

@@ -1,6 +1,5 @@
 #include "runtime/checkpoint_coordinator.hpp"
 
-#include <iterator>
 #include <utility>
 
 namespace dart::runtime {
@@ -23,13 +22,18 @@ bool CheckpointCoordinator::commit(std::uint32_t shard,
                                    std::uint64_t incarnation,
                                    core::CheckpointImage&& image,
                                    const core::SnapshotMeta& meta,
-                                   std::vector<core::RttSample>&& samples) {
+                                   std::vector<core::RttSample>&& samples,
+                                   const analytics::LogHistogram& rtt) {
   Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
   if (slot.owner != incarnation) return false;
-  slot.committed.insert(slot.committed.end(),
-                        std::make_move_iterator(samples.begin()),
-                        std::make_move_iterator(samples.end()));
+  if (slot.committed.empty()) {
+    slot.committed = std::move(samples);
+  } else {
+    slot.committed.insert(slot.committed.end(), samples.begin(),
+                          samples.end());
+  }
+  slot.rtt.merge(rtt);
   if (!image.empty()) {
     slot.image = std::move(image);
     slot.meta = meta;
@@ -41,9 +45,10 @@ bool CheckpointCoordinator::commit(std::uint32_t shard,
 
 bool CheckpointCoordinator::commit_samples(
     std::uint32_t shard, std::uint64_t incarnation,
-    std::vector<core::RttSample>&& samples) {
+    std::vector<core::RttSample>&& samples,
+    const analytics::LogHistogram& rtt) {
   return commit(shard, incarnation, core::CheckpointImage{}, {},
-                std::move(samples));
+                std::move(samples), rtt);
 }
 
 bool CheckpointCoordinator::latest(std::uint32_t shard,
@@ -57,11 +62,15 @@ bool CheckpointCoordinator::latest(std::uint32_t shard,
   return true;
 }
 
-std::vector<core::RttSample> CheckpointCoordinator::committed_samples(
-    std::uint32_t shard) const {
-  const Slot& slot = *slots_[shard];
+void CheckpointCoordinator::take_committed(
+    std::uint32_t shard, std::vector<core::RttSample>* samples,
+    analytics::LogHistogram* rtt) {
+  Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
-  return slot.committed;
+  *samples = std::move(slot.committed);
+  slot.committed.clear();  // moved-from: restore a defined empty state
+  *rtt = std::move(slot.rtt);
+  slot.rtt = analytics::LogHistogram{};
 }
 
 std::uint64_t CheckpointCoordinator::committed_sample_count(

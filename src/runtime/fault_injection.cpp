@@ -140,14 +140,14 @@ bool FaultPlan::exporter_skewed_epoch(std::uint64_t epoch,
   return true;
 }
 
-FaultPlan::Action FaultPlan::before_pop(std::uint32_t shard,
-                                        std::uint64_t batches_done) {
+FaultPlan::Action FaultPlan::before_batch(std::uint32_t shard,
+                                          std::uint64_t batches_done) {
   if (shard >= shards_.size()) return Action::kContinue;
   ShardFaults& state = shards_[shard];
   if (batches_done >= state.hang_at) {
-    // hang_fired lives under the hang mutex: with a supervised runtime the
-    // blocked zombie and its restarted successor exist concurrently, and
-    // both reach this check.
+    // hang_fired lives under the hang mutex: with a restarting runtime the
+    // blocked zombie and its successor exist concurrently, and both reach
+    // this check.
     common::UniqueLock lock(hang_mutex_);
     if (!state.hang_fired) {
       state.hang_fired = true;  // one-shot: after release the worker resumes
@@ -162,15 +162,9 @@ FaultPlan::Action FaultPlan::before_pop(std::uint32_t shard,
     ++state.kills_fired;
     return Action::kExit;
   }
-  return Action::kContinue;
-}
-
-void FaultPlan::after_pop(std::uint32_t shard, std::uint64_t batch_index) {
-  if (shard >= shards_.size()) return;
-  ShardFaults& state = shards_[shard];
   std::uint64_t delay_ns = 0;
-  if (batch_index >= state.stall_first &&
-      batch_index - state.stall_first < state.stall_count) {
+  if (batches_done >= state.stall_first &&
+      batches_done - state.stall_first < state.stall_count) {
     delay_ns += state.stall_delay_ns;
   }
   if (state.jitter_max_ns > 0) {
@@ -179,6 +173,7 @@ void FaultPlan::after_pop(std::uint32_t shard, std::uint64_t batch_index) {
   if (delay_ns > 0) {
     std::this_thread::sleep_for(std::chrono::nanoseconds(delay_ns));
   }
+  return Action::kContinue;
 }
 
 void FaultPlan::release_hangs() {

@@ -9,16 +9,19 @@
 //             backs up and the router's OverloadPolicy engages;
 //   kill    — a worker exits cleanly after processing exactly N batches,
 //             so everything routed past that point must be shed and
-//             accounted (the deterministic-shedding scenario);
+//             accounted (the deterministic-shedding scenario), or replayed
+//             to a restarted successor (the recovery chaos suite);
 //   hang    — a worker blocks inside the hook until release_hangs(); the
-//             runtime's join timeout must force-detach it, never deadlock;
+//             runtime's hang detection or join timeout must force-detach
+//             it, never deadlock;
 //   jitter  — seeded random per-batch consumption delays, forcing
 //             ring-full backpressure without any shedding.
 //
-// Hooks are invoked by ShardedMonitor's worker loop at *batch* granularity
-// only, and only when the translation units are compiled with
+// The hook is invoked by ShardedMonitor's worker loop at *batch*
+// granularity only — once per popped batch, before it is processed — and
+// only when the translation units are compiled with
 // -DDART_FAULT_INJECTION=1 (cmake option DART_FAULT_INJECTION). In a
-// release build the hook sites compile out entirely: the per-packet path is
+// release build the hook site compiles out entirely: the per-packet path is
 // identical with and without the harness.
 //
 // Thread-safety: plans must be fully built before workers start. Each
@@ -55,12 +58,12 @@ class FaultPlan {
                    std::uint64_t batches, std::uint64_t delay_ns);
 
   /// Worker `shard` exits its loop after processing exactly `after_batches`
-  /// batches; the runtime sheds whatever it never consumed. `times` bounds
-  /// how many workers the fault claims: under a supervised runtime a
-  /// restarted worker counts batches from zero, so times == 1 (the default)
-  /// crashes the shard exactly once while a large value re-kills every
-  /// successor until the supervisor's restart budget runs out. Plain
-  /// ShardedMonitor never restarts a worker, so `times` is moot there.
+  /// batches, parking the batch it just popped. Without a restart the
+  /// runtime sheds whatever the worker never processed. `times` bounds how
+  /// many workers the fault claims: a restarted worker counts batches from
+  /// zero, so times == 1 (the default) crashes the shard exactly once while
+  /// a large value re-kills every successor until the restart budget runs
+  /// out. With ShardedConfig::restart_budget at 0 `times` is moot.
   FaultPlan& kill(std::uint32_t shard, std::uint64_t after_batches,
                   std::uint64_t times = 1);
 
@@ -132,14 +135,11 @@ class FaultPlan {
   /// the rewritten epoch for a frame whose true epoch is `epoch`.
   bool exporter_skewed_epoch(std::uint64_t epoch, std::uint64_t* skewed) const;
 
-  /// Worker hook: called before each pop attempt with the number of batches
-  /// this worker has fully processed. kExit means "die now" (kill fault);
-  /// the hang fault blocks inside this call.
-  Action before_pop(std::uint32_t shard, std::uint64_t batches_done);
-
-  /// Worker hook: called after a successful pop, before the batch is
-  /// processed; applies stall / jitter delays.
-  void after_pop(std::uint32_t shard, std::uint64_t batch_index);
+  /// Worker hook: called after each batch pop, before the batch is
+  /// processed, with the number of batches this worker has fully
+  /// processed. The hang fault blocks inside this call; kExit means "die
+  /// now" (kill fault); otherwise stall / jitter delays apply here.
+  Action before_batch(std::uint32_t shard, std::uint64_t batches_done);
 
   /// Wake every worker blocked in a hang fault (idempotent).
   void release_hangs();

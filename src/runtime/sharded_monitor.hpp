@@ -1,9 +1,10 @@
 // ShardedMonitor: flow-affinity parallel replay across N worker threads.
 //
-//                      +-> [ring] -> worker 0: DartMonitor -> histogram 0
-//   packets -> router -+-> [ring] -> worker 1: DartMonitor -> histogram 1
-//                      +-> [ring] -> worker 2: DartMonitor -> histogram 2
-//                                        (+ SampleLog i if retain_samples)
+//                      +-> [ring] -> worker 0 --commit--+
+//   packets -> router -+-> [ring] -> worker 1 --commit--+-> coordinator
+//                      +-> [ring] -> worker 2 --commit--+   (histograms,
+//          (epoch barriers if checkpointing)   restore on   samples, cuts)
+//                                              a crash
 //
 // The caller's thread routes each packet by the canonical 4-tuple hash onto
 // one of N shards; each shard is a worker thread owning a private monitor
@@ -22,28 +23,41 @@
 // many flows break this equivalence by design (shards see different
 // collision patterns); the differential tests pin down both regimes.
 //
-// Bin in place: every worker also folds each sample into a private
-// fixed-geometry LogHistogram as it is emitted. Bin counts, min and max do
-// not depend on sample order, and all shards share one layout, so
-// `merged_histogram()` is an exact bin-by-bin sum — equal to a histogram
-// folded from `merged_samples()` without sorting or keeping the stream.
-// Retaining the raw samples is opt-in (`retain_samples`); long-running
-// consumers (dartd, the fleet vantage) turn it off and hold O(bins) per
-// shard however long the cycle runs.
+// Bin in place, one result path: every worker folds each sample into a
+// fixed-geometry LogHistogram (plus a raw sample log under
+// `retain_samples`) holding what it emitted since its last commit, and
+// commits that delta to the CheckpointCoordinator at each epoch barrier
+// and at a clean exit. Results are the committed deltas alone: bin counts,
+// min and max do not depend on sample order and all shards share one
+// layout, so `merged_histogram()` is an exact bin-by-bin sum — equal to a
+// histogram folded from `merged_samples()`. An unsupervised run commits
+// once per shard, at exit, by moving the delta into an empty slot.
 //
 // Graceful degradation: backpressure is *bounded*. When a shard's ring
 // stays full past the OverloadPolicy's deadline (spin -> exponential
 // backoff -> shed), the router drops that batch and accounts it in the
-// shard's RuntimeHealth (shed_batches / shed_packets) instead of freezing
-// the whole pipeline behind one sick worker — the invariant is
+// shard's RuntimeHealth instead of freezing the whole pipeline behind one
+// sick worker. The invariant, per shard and merged, is
 //
-//     processed + shed + abandoned == routed        (per shard and merged)
+//     processed + shed + abandoned + lost_to_crash == routed
 //
-// where `abandoned` is nonzero only for a worker that wedged so hard the
-// shutdown join timed out and the runtime force-detached it. A worker that
-// exits early (a kill fault, or a crash-turned-clean-exit) flips its dead
-// flag; the router then sheds immediately and finish() drains and accounts
-// whatever was left in the ring. See DESIGN.md "Failure model".
+// Recovery (optional; all off by default): with `checkpoint` set, the
+// router injects barrier markers into each shard's stream and the worker
+// cuts a CheckpointImage at each one. Each worker is a fenced incarnation:
+//
+//   * Kill, successor allowed (`restart_budget` not spent): the successor
+//     restores the last cut; what the dead worker processed past it is
+//     `lost_to_crash`, and its parked batch plus ring content are requeued
+//     in FIFO order (`replayed_after_restore`).
+//   * Kill, no successor: the shard keeps the dead worker's own stats and
+//     bins, and sheds the parked batch and everything after it.
+//   * Wedge (`hang_detection_ns` on a backpressured push, or the shutdown
+//     `join_timeout_ns`): the worker is fenced, then detached; its result
+//     is the last committed cut (zeros if none) and everything it was
+//     handed past that cut is `abandoned`. Hang detection then starts a
+//     successor on a fresh ring if the budget allows.
+//
+// See DESIGN.md §8 "Failure and recovery model".
 #pragma once
 
 #include <cstdint>
@@ -60,6 +74,7 @@
 #include "core/config.hpp"
 #include "core/rtt_sample.hpp"
 #include "core/stats.hpp"
+#include "runtime/checkpoint_coordinator.hpp"
 #include "runtime/lifecycle.hpp"
 #include "runtime/overload_policy.hpp"
 #include "runtime/replay_monitor.hpp"
@@ -97,18 +112,33 @@ struct ShardedConfig {
   /// (DartMonitor's batched SoA fast path). false forces the per-packet
   /// virtual loop — the scalar baseline the batch differential suite and
   /// bench_throughput's scalar rows compare against. Routing, ordering,
-  /// shed/backpressure accounting, and result merging are identical in
-  /// both modes; only the worker's inner loop changes.
+  /// shed/backpressure accounting, barrier placement and result merging
+  /// are identical in both modes; only the worker's inner loop changes.
   bool batched_workers = true;
 
-  /// Keep every RTT sample in its shard's SampleLog, for shard_samples()
-  /// and merged_samples(). The per-shard histograms behind
-  /// merged_histogram() are fed either way; false drops the raw stream so
-  /// result memory stays O(shards * bins) for the whole run.
+  /// Keep every RTT sample, for shard_samples() and merged_samples(). The
+  /// per-shard histograms behind merged_histogram() are fed either way;
+  /// false drops the raw stream so result memory stays O(shards * bins)
+  /// for the whole run.
   bool retain_samples = true;
 
   /// How hard the router waits on a full ring before shedding the batch.
   OverloadPolicy overload;
+
+  /// Barrier cadence for checkpoints. Disabled (the default) cuts none:
+  /// a restarted worker then starts from empty state and the whole
+  /// pre-crash window counts as lost.
+  CheckpointPolicy checkpoint;
+
+  /// Restarts each shard may consume; 0 (the default) never restarts, so
+  /// a killed or wedged worker's shard degrades to the shed path.
+  std::uint32_t restart_budget = 0;
+
+  /// A worker whose heartbeat makes no progress for this long while the
+  /// router is backpressured on its full ring is declared wedged and
+  /// force-detached. 0 (the default) disables hang detection; wedges then
+  /// surface at finish() via join_timeout_ns.
+  std::uint64_t hang_detection_ns = 0;
 
   /// Epoch hook: when nonzero, `on_epoch(epoch, routed)` fires on the
   /// *router thread* after every `epoch_interval_packets` routed packets
@@ -125,22 +155,20 @@ struct ShardedConfig {
   /// it (diagnosed in RuntimeHealth::forced_detaches). After end-of-input a
   /// healthy worker only has the ring's backlog left, so this bounds
   /// shutdown: it fires only for a genuinely wedged worker. 0 waits
-  /// forever (the pre-timeout behavior).
+  /// forever.
   std::uint64_t join_timeout_ns = 30'000'000'000ULL;  // 30 s
 
 #if defined(DART_FAULT_INJECTION)
-  /// Fault-injection hooks for the chaos suite; must outlive the monitor
+  /// Fault-injection hooks for the chaos suites; must outlive the monitor
   /// (or at least every worker). Only exists in DART_FAULT_INJECTION
   /// builds — the release worker loop contains no hook sites at all.
   FaultPlan* faults = nullptr;
 #endif
 
 #if defined(DART_TELEMETRY)
-  /// Standard metric families to instrument; must outlive every worker
-  /// (keepalive-referenced like the shards themselves is overkill — the
-  /// registry typically outlives the whole run). nullptr runs
-  /// uninstrumented. Only exists in DART_TELEMETRY builds; with the option
-  /// OFF the hot path contains no telemetry sites at all.
+  /// Standard metric families to instrument; must outlive every worker.
+  /// nullptr runs uninstrumented. Only exists in DART_TELEMETRY builds;
+  /// with the option OFF the hot path contains no telemetry sites at all.
   telemetry::RuntimeMetrics* telemetry = nullptr;
 #endif
 };
@@ -148,7 +176,7 @@ struct ShardedConfig {
 class ShardedMonitor {
  public:
   /// Workers are started immediately; `factory` is invoked once per shard
-  /// on the constructing thread.
+  /// (and once per restart) on the router thread.
   ShardedMonitor(const ShardedConfig& config, MonitorFactory factory);
 
   /// Convenience: every shard runs a private DartMonitor with this config.
@@ -172,8 +200,9 @@ class ShardedMonitor {
   void process_all(std::span<const PacketRecord> packets);
 
   /// Flush partial batches, signal end-of-stream, and join all workers
-  /// (bounded by join_timeout_ns per worker). Results are available
-  /// afterwards. A second explicit call throws LifecycleError
+  /// (bounded by join_timeout_ns per worker; a worker that dies while
+  /// draining is still restarted if the budget allows). Results are
+  /// available afterwards. A second explicit call throws LifecycleError
   /// (kFinishAfterFinish): the batch-era "idempotent finish" contract hid
   /// daemon restart bugs where two owners both believed they ended the
   /// cycle. Destruction after finish() remains legal (the destructor uses
@@ -196,10 +225,10 @@ class ShardedMonitor {
   /// to stamp a barrier frame. Same threading contract as routed_total().
   std::uint64_t shard_routed_cursor(std::uint32_t shard) const;
 
-  /// Per-shard results; valid only after finish(). A force-detached
-  /// shard's samples are unreadable (its worker may still touch them) and
-  /// come back empty; its stats carry only the RuntimeHealth accounting.
-  /// Without retain_samples every log is empty.
+  /// Per-shard committed results; valid only after finish(). A shard whose
+  /// worker wedged reports its last committed cut (empty / zeros if none)
+  /// plus the RuntimeHealth accounting. Without retain_samples every log
+  /// is empty.
   const analytics::SampleLog& shard_samples(std::uint32_t shard) const;
   core::DartStats shard_stats(std::uint32_t shard) const;
 
@@ -210,17 +239,23 @@ class ShardedMonitor {
   /// Merged degradation accounting alone; valid only after finish().
   core::RuntimeHealth health() const;
 
-  /// All shards' samples in the canonical `sample_less` order — the
-  /// deterministic merge. Valid only after finish(); skips force-detached
-  /// shards (their logs are not safely readable). Empty without
-  /// retain_samples.
+  /// All committed samples in the canonical `sample_less` order — the
+  /// deterministic merge. Valid only after finish(). Samples a crashed
+  /// worker emitted past its last cut are part of the loss window and
+  /// absent by design. Empty without retain_samples.
   std::vector<core::RttSample> merged_samples() const;
 
-  /// All shards' RTT histograms merged (default LogHistogram geometry).
-  /// Same skip rule as merged_samples(): a killed worker's pre-kill samples
-  /// count, a force-detached shard's do not. Valid only after finish();
-  /// independent of retain_samples.
+  /// All shards' committed RTT histograms merged (default LogHistogram
+  /// geometry); the fold of merged_samples() whether or not samples are
+  /// retained. Valid only after finish().
   analytics::LogHistogram merged_histogram() const;
+
+  /// Committed checkpoint images cut across the run.
+  std::uint64_t checkpoints_cut() const {
+    return coordinator_->total_checkpoints_cut();
+  }
+
+  const CheckpointCoordinator& coordinator() const { return *coordinator_; }
 
   /// Wait up to `timeout_ns` for any force-detached workers to finally
   /// exit (e.g. after a fault plan released a hang). Returns true when
@@ -230,59 +265,116 @@ class ShardedMonitor {
  private:
   using PacketBatch = std::vector<PacketRecord>;
 
-  // Lock-free cross-thread protocol, in DART_PUBLISHED_BY terms: the
-  // constructing thread publishes monitor/faults/metrics to the worker via
-  // thread creation; the worker publishes samples/rtt/final_stats back
-  // with its exited release-store, which finish() acquires via join (or an
-  // exited load, for a detached worker). Everything else is
-  // single-thread-owned.
-  struct Shard {
-    explicit Shard(std::size_t queue_batches) : queue(queue_batches) {}
+  /// One ring entry: a packet batch or an epoch barrier marker.
+  struct Work {
+    PacketBatch batch;
+    bool marker = false;
+    std::uint64_t epoch = 0;
+    std::uint64_t cursor = 0;  ///< shard packets delivered before the marker
+  };
 
-    SpscRing<PacketBatch> queue;
-    // Worker-owned while running; readable only after exited.
+  /// One worker lifetime. Each restart builds a fresh Incarnation — ring
+  /// included, because a wedged predecessor may still pop from its own.
+  /// The worker holds a shared_ptr to it (and to the coordinator), so a
+  /// force-detached zombie that wakes up later — even after the monitor is
+  /// gone — only ever touches live memory.
+  //
+  // Lock-free cross-thread protocol, in DART_PUBLISHED_BY terms: the router
+  // publishes monitor/faults/metrics to the worker via thread creation; the
+  // worker publishes its delta, limbo and final_stats back with its exited
+  // release-store, which the router acquires via join (or an exited load).
+  struct Incarnation {
+    explicit Incarnation(std::size_t queue_batches) : queue(queue_batches) {}
+
+    SpscRing<Work> queue;
     std::unique_ptr<ReplayMonitor> monitor DART_PUBLISHED_BY(exited);
-    analytics::SampleLog samples DART_PUBLISHED_BY(exited);
+    /// Emitted since the last commit (samples only under retain_samples).
+    std::vector<core::RttSample> samples DART_PUBLISHED_BY(exited);
     analytics::LogHistogram rtt DART_PUBLISHED_BY(exited);
+    /// The popped-unprocessed batch parked at a kill.
+    std::vector<Work> limbo DART_PUBLISHED_BY(exited);
     core::DartStats final_stats DART_PUBLISHED_BY(exited);
-    PacketBatch pending;  // router-side accumulation
     std::thread thread;
-    std::uint32_t index = 0;
-    bool batched = true;  // worker-loop mode, copied from the config
+    std::uint32_t shard = 0;
+    bool batched = true;            ///< worker-loop mode, from the config
+    std::uint64_t id = 0;           ///< coordinator incarnation id (fence)
+    std::uint64_t base_cursor = 0;  ///< shard-stream position at start
+    std::shared_ptr<CheckpointCoordinator> coordinator;
+
+    /// Heartbeat: shard-stream packets processed by *this* incarnation;
+    /// base_cursor + packets_done is its frontier.
+    std::atomic<std::uint64_t> packets_done{0};
     std::atomic<bool> input_done{false};
-    std::atomic<bool> dead{false};    // worker exited before end-of-input
-    std::atomic<bool> exited{false};  // worker loop finished (all paths)
-    bool detached = false;            // join timed out; worker abandoned
-    std::uint64_t routed_packets = 0;      // router-side: handed to flush
-    core::RuntimeHealth health;            // router-side accounting
-    core::DartStats result;                // snapshot assembled by finish()
+    std::atomic<bool> dead{false};    ///< exited early (kill fault)
+    std::atomic<bool> exited{false};  ///< worker loop finished (all paths)
 #if defined(DART_FAULT_INJECTION)
     FaultPlan* faults = nullptr;
 #endif
 #if defined(DART_TELEMETRY)
-    telemetry::RuntimeMetrics* metrics = nullptr;  // worker-read, may be null
+    telemetry::RuntimeMetrics* metrics = nullptr;  ///< worker-read, may be null
 #endif
   };
 
-  void start(MonitorFactory factory);
+  /// Router-side state of one shard.
+  struct Shard {
+    std::uint32_t index = 0;
+    /// Current worker; a tombstoned shard keeps its last one (results and
+    /// monitor stay inspectable).
+    std::shared_ptr<Incarnation> inc;
+    std::vector<std::shared_ptr<Incarnation>> detached;  ///< wedged zombies
+    PacketBatch pending;          ///< accumulation for the next batch
+    std::uint64_t routed = 0;     ///< handed to flush (incl. later shed)
+    std::uint64_t delivered = 0;  ///< pushed into a ring
+    std::uint32_t restarts = 0;
+    /// No worker left: everything routed here is shed, `result` is final.
+    bool tombstoned = false;
+    core::RuntimeHealth health;
+    core::DartStats result;
+    // Settled by finish() from the coordinator's committed deltas.
+    analytics::SampleLog samples;
+    analytics::LogHistogram rtt;
+
+    // Barrier bookkeeping, touched only when checkpointing is on.
+    std::uint64_t epoch = 0;
+    std::uint64_t last_barrier_delivered = 0;
+    std::uint64_t last_barrier_ts = 0;
+    bool barrier_ts_armed = false;
+
+    // Heartbeat tracking for hang detection; incarnate() disarms it.
+    std::uint64_t hb_done = 0;
+    std::uint64_t hb_since_ns = 0;
+    bool hb_armed = false;
+  };
+
+  /// Make `shard.inc` a fresh incarnation at stream position `base`,
+  /// fencing off its predecessor; launch() starts its thread. A restart
+  /// also restores the last committed cut; returns the cursor the new
+  /// monitor's state reflects (0 = empty state).
+  std::uint64_t incarnate(Shard& shard, std::uint64_t base, bool restart);
+  static void launch(const std::shared_ptr<Incarnation>& inc);
   // The whole finish() sequence minus the lifecycle check, safe from the
-  // destructor: flush, end-of-input, join/detach, settle results, fold
-  // telemetry. Idempotent.
+  // destructor: flush, end-of-input, join/recover/detach, settle results,
+  // fold telemetry. Idempotent.
   void shutdown() noexcept;
   void flush_shard(Shard& shard);
-  void push_or_shed(Shard& shard, PacketBatch&& batch);
-  void join_or_detach(Shard& shard);
-  static void drain_as_shed(Shard& shard);
-  static void worker_loop(Shard& shard);
+  void maybe_barrier(Shard& shard, Timestamp ts);
+  void deliver(Shard& shard, Work&& work);
+  void requeue(Shard& shard, std::vector<Work>&& carryover);
+  bool wedged(Shard& shard, const Incarnation& inc);
+  void recover_dead(Shard& shard);
+  void abandon(Shard& shard, bool allow_successor);
+  static void shed(Shard& shard, const Work& work);
+  static bool wait_exited(const Incarnation& inc, std::uint64_t timeout_ns);
+  static void worker_loop(Incarnation& inc);
+  static void commit(Incarnation& inc, const Work* marker);
 
   ShardedConfig config_;
+  MonitorFactory factory_;
   ShardRouter router_;
+  std::shared_ptr<CheckpointCoordinator> coordinator_;
   std::uint64_t routed_total_ = 0;  ///< router-side packets, epoch clock
   std::uint64_t epochs_fired_ = 0;
-  // shared_ptr, not unique_ptr: each worker holds a reference to its own
-  // Shard, so a force-detached worker that wakes up later still touches
-  // live memory even after the ShardedMonitor is gone.
-  std::vector<std::shared_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   bool finished_ = false;
 };
 

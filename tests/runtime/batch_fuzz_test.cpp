@@ -18,7 +18,6 @@
 #include "core/dart_monitor.hpp"
 #include "core/packet_batch.hpp"
 #include "gen/workload.hpp"
-#include "runtime/shard_supervisor.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 #if defined(DART_FAULT_INJECTION)
@@ -252,12 +251,12 @@ TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   dart_config.leg = core::LegMode::kBoth;
 
   const auto run_supervised = [&](bool batched_workers) {
-    runtime::SupervisorConfig config;
+    runtime::ShardedConfig config;
     config.shards = 2;
     config.batch_size = 7;  // never divides the barrier interval
     config.checkpoint.interval_packets = 1000;
     config.batched_workers = batched_workers;
-    runtime::ShardSupervisor supervisor(config, dart_config);
+    runtime::ShardedMonitor supervisor(config, dart_config);
     supervisor.process_all(packets);
     supervisor.finish();
     return std::tuple(supervisor.merged_stats(), supervisor.merged_samples(),

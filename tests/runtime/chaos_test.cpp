@@ -366,6 +366,41 @@ TEST(Chaos, ForceDetachedShardIsExcludedFromHistogram) {
   expect_same_histogram(sharded.merged_histogram(), hist);
 }
 
+TEST(Chaos, WorkerWedgedAfterProgressIsAbandonedPastItsLastCut) {
+  // A worker that wedges after 40 processed batches, in a run without
+  // checkpoints: the wedge rule writes off everything it was handed past
+  // its last committed cut (there is none) as abandoned — its processed
+  // prefix included, since the detached worker never commits it. Nothing
+  // counts as lost_to_crash: that term belongs to killed workers whose
+  // successor resumed from an earlier cut.
+  const trace::Trace trace = chaos_workload(99);
+  runtime::FaultPlan plan;
+  plan.hang(/*shard=*/0, /*at_batch=*/40);
+  runtime::ShardedConfig config = chaos_config(&plan);
+  config.join_timeout_ns = 100'000'000;  // 100 ms
+  runtime::ShardedMonitor sharded(config, monitor_config());
+  sharded.process_all(trace.packets());
+  sharded.finish();
+
+  const core::RuntimeHealth health = sharded.health();
+  const core::DartStats wedged = sharded.shard_stats(0);
+  ASSERT_EQ(health.forced_detaches, 1U);
+  EXPECT_EQ(health.lost_to_crash, 0U);
+  EXPECT_EQ(wedged.packets_processed, 0U);
+  EXPECT_EQ(wedged.samples, 0U);
+  EXPECT_EQ(wedged.runtime.abandoned_packets,
+            sharded.shard_routed_cursor(0) - wedged.runtime.shed_packets);
+  EXPECT_GE(wedged.runtime.abandoned_packets, 40U * config.batch_size);
+  EXPECT_EQ(health.abandoned_packets, wedged.runtime.abandoned_packets);
+  const core::DartStats merged = sharded.merged_stats();
+  EXPECT_EQ(merged.packets_processed + health.shed_packets +
+                health.abandoned_packets + health.lost_to_crash,
+            trace.packets().size());
+
+  plan.release_hangs();
+  EXPECT_TRUE(sharded.await_detached(sec(30)));
+}
+
 TEST(Chaos, FaultFreePlanIsANoOp) {
   // An empty plan through the fault-injection build must be bit-identical
   // to running with no plan at all.

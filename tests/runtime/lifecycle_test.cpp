@@ -2,7 +2,9 @@
 // after finish() and a second finish() are typed errors (LifecycleError),
 // not asserts or silent no-ops. The batch era tolerated both — a daemon
 // that rotates monitors per cycle cannot, because a stale owner feeding a
-// joined runtime would route packets into rings with no consumer.
+// joined runtime would route packets into rings with no consumer. Every
+// case runs both without and with checkpoint barriers: recovery is part
+// of the same runtime and obeys the same contract.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,48 +31,70 @@ runtime::ShardedConfig two_shards() {
   return config;
 }
 
+std::vector<runtime::ShardedConfig> both_modes() {
+  runtime::ShardedConfig checkpointed = two_shards();
+  checkpointed.checkpoint.interval_packets = 64;
+  return {two_shards(), checkpointed};
+}
+
+std::string mode_name(const runtime::ShardedConfig& config) {
+  return config.checkpoint.enabled() ? "checkpointed" : "plain";
+}
+
 TEST(Lifecycle, ProcessAfterFinishThrowsTypedError) {
   const trace::Trace trace = tiny_workload();
-  runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-  monitor.process_all(trace.packets());
-  monitor.finish();
-  EXPECT_TRUE(monitor.finished());
-  try {
-    monitor.process(trace.packets().front());
-    FAIL() << "process() after finish() must throw";
-  } catch (const runtime::LifecycleError& err) {
-    EXPECT_EQ(err.violation(),
-              runtime::LifecycleViolation::kProcessAfterFinish);
-    EXPECT_NE(std::string(err.what()).find("finish"), std::string::npos);
+  for (const runtime::ShardedConfig& config : both_modes()) {
+    SCOPED_TRACE(mode_name(config));
+    runtime::ShardedMonitor monitor(config, core::DartConfig{});
+    monitor.process_all(trace.packets());
+    monitor.finish();
+    EXPECT_TRUE(monitor.finished());
+    try {
+      monitor.process(trace.packets().front());
+      FAIL() << "process() after finish() must throw";
+    } catch (const runtime::LifecycleError& err) {
+      EXPECT_EQ(err.violation(),
+                runtime::LifecycleViolation::kProcessAfterFinish);
+      EXPECT_NE(std::string(err.what()).find("finish"), std::string::npos);
+    }
   }
 }
 
 TEST(Lifecycle, ProcessAllAfterFinishThrowsTypedError) {
   const trace::Trace trace = tiny_workload();
-  runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-  monitor.finish();
-  EXPECT_THROW(monitor.process_all(trace.packets()),
-               runtime::LifecycleError);
+  for (const runtime::ShardedConfig& config : both_modes()) {
+    SCOPED_TRACE(mode_name(config));
+    runtime::ShardedMonitor monitor(config, core::DartConfig{});
+    monitor.finish();
+    EXPECT_THROW(monitor.process_all(trace.packets()),
+                 runtime::LifecycleError);
+  }
 }
 
 TEST(Lifecycle, DoubleFinishThrowsTypedError) {
-  runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-  monitor.finish();
-  try {
+  for (const runtime::ShardedConfig& config : both_modes()) {
+    SCOPED_TRACE(mode_name(config));
+    runtime::ShardedMonitor monitor(config, core::DartConfig{});
     monitor.finish();
-    FAIL() << "second finish() must throw";
-  } catch (const runtime::LifecycleError& err) {
-    EXPECT_EQ(err.violation(),
-              runtime::LifecycleViolation::kFinishAfterFinish);
+    try {
+      monitor.finish();
+      FAIL() << "second finish() must throw";
+    } catch (const runtime::LifecycleError& err) {
+      EXPECT_EQ(err.violation(),
+                runtime::LifecycleViolation::kFinishAfterFinish);
+    }
   }
 }
 
 // LifecycleError is a logic_error: a caller bug, catchable as such by
 // generic handlers that do not know the daemon types.
 TEST(Lifecycle, ErrorIsALogicError) {
-  runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-  monitor.finish();
-  EXPECT_THROW(monitor.finish(), std::logic_error);
+  for (const runtime::ShardedConfig& config : both_modes()) {
+    SCOPED_TRACE(mode_name(config));
+    runtime::ShardedMonitor monitor(config, core::DartConfig{});
+    monitor.finish();
+    EXPECT_THROW(monitor.finish(), std::logic_error);
+  }
 }
 
 // Destruction stays legal on every path: after an explicit finish() (the
@@ -78,15 +102,18 @@ TEST(Lifecycle, ErrorIsALogicError) {
 // all (the destructor drains via the noexcept shutdown path).
 TEST(Lifecycle, DestructionAfterFinishIsLegal) {
   const trace::Trace trace = tiny_workload();
-  {
-    runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-    monitor.process_all(trace.packets());
-    monitor.finish();
-  }  // no throw, no abort
-  {
-    runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-    monitor.process_all(trace.packets());
-  }  // destructor-only drain
+  for (const runtime::ShardedConfig& config : both_modes()) {
+    SCOPED_TRACE(mode_name(config));
+    {
+      runtime::ShardedMonitor monitor(config, core::DartConfig{});
+      monitor.process_all(trace.packets());
+      monitor.finish();
+    }  // no throw, no abort
+    {
+      runtime::ShardedMonitor monitor(config, core::DartConfig{});
+      monitor.process_all(trace.packets());
+    }  // destructor-only drain
+  }
   SUCCEED();
 }
 
@@ -94,16 +121,19 @@ TEST(Lifecycle, DestructionAfterFinishIsLegal) {
 // finish() survive a rejected ingest attempt untouched.
 TEST(Lifecycle, RejectedIngestLeavesResultsIntact) {
   const trace::Trace trace = tiny_workload();
-  runtime::ShardedMonitor monitor(two_shards(), core::DartConfig{});
-  monitor.process_all(trace.packets());
-  monitor.finish();
-  const core::DartStats before = monitor.merged_stats();
-  EXPECT_THROW(monitor.process(trace.packets().front()),
-               runtime::LifecycleError);
-  const core::DartStats after = monitor.merged_stats();
-  EXPECT_EQ(before.packets_processed, after.packets_processed);
-  EXPECT_EQ(before.samples, after.samples);
-  EXPECT_EQ(monitor.routed_total(), trace.size());
+  for (const runtime::ShardedConfig& config : both_modes()) {
+    SCOPED_TRACE(mode_name(config));
+    runtime::ShardedMonitor monitor(config, core::DartConfig{});
+    monitor.process_all(trace.packets());
+    monitor.finish();
+    const core::DartStats before = monitor.merged_stats();
+    EXPECT_THROW(monitor.process(trace.packets().front()),
+                 runtime::LifecycleError);
+    const core::DartStats after = monitor.merged_stats();
+    EXPECT_EQ(before.packets_processed, after.packets_processed);
+    EXPECT_EQ(before.samples, after.samples);
+    EXPECT_EQ(monitor.routed_total(), trace.size());
+  }
 }
 
 // The messages are actionable: each names the misuse and what to do

@@ -1,5 +1,6 @@
-// Recovery chaos suite: kills and hangs workers under the ShardSupervisor
-// and asserts the crash-recovery contract end to end:
+// Recovery chaos suite: kills and hangs workers of a ShardedMonitor with
+// checkpoints and a restart budget, and asserts the crash-recovery
+// contract end to end:
 //
 //   (i)   bounded loss  — a kill between barriers loses exactly the packets
 //                         the dead worker processed after its last committed
@@ -18,12 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "analytics/histogram.hpp"
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/fault_injection.hpp"
-#include "runtime/shard_supervisor.hpp"
+#include "runtime/sharded_monitor.hpp"
 
 namespace dart {
 namespace {
@@ -49,8 +52,8 @@ core::DartConfig monitor_config() {
 // b1..b4, M(128), b5..b8, M(256), ...  A generous queue plus a long shed
 // deadline keeps the kill scenarios shed-free (loss comes only from the
 // crash window), and hang detection stays off except in the hang test.
-runtime::SupervisorConfig recovery_config(runtime::FaultPlan* plan) {
-  runtime::SupervisorConfig config;
+runtime::ShardedConfig recovery_config(runtime::FaultPlan* plan) {
+  runtime::ShardedConfig config;
   config.shards = 1;
   config.batch_size = 32;
   config.queue_batches = 8;
@@ -70,8 +73,8 @@ struct RunResult {
 };
 
 RunResult run_supervised(const trace::Trace& trace,
-                         const runtime::SupervisorConfig& config) {
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+                         const runtime::ShardedConfig& config) {
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
   return {supervisor.merged_stats(), supervisor.health(),
@@ -122,6 +125,55 @@ TEST(Recovery, KilledShardRecoversFromCheckpoint) {
             n);
 }
 
+analytics::LogHistogram fold(const std::vector<core::RttSample>& samples) {
+  analytics::LogHistogram hist;
+  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
+  return hist;
+}
+
+void expect_same_histogram(const analytics::LogHistogram& got,
+                           const analytics::LogHistogram& want) {
+  EXPECT_EQ(got.bins(), want.bins());
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+}
+
+TEST(Recovery, KilledShardHistogramExcludesTheCrashWindow) {
+  // The KilledShardRecoversFromCheckpoint scenario, read through the
+  // histogram: the restarted run's bins are committed deltas only, so they
+  // fold exactly the committed samples and leave out the crash window.
+  const trace::Trace trace = recovery_workload(7);
+  runtime::FaultPlan plan;
+  plan.kill(/*shard=*/0, /*after_batches=*/5);
+  runtime::ShardedMonitor sharded(recovery_config(&plan), monitor_config());
+  sharded.process_all(trace.packets());
+  sharded.finish();
+  ASSERT_EQ(sharded.health().recovered, 1U);
+  ASSERT_EQ(sharded.health().lost_to_crash, 32U);
+
+  const analytics::LogHistogram hist = sharded.merged_histogram();
+  const std::vector<core::RttSample> samples = sharded.merged_samples();
+  ASSERT_GT(samples.size(), 0U);
+  expect_same_histogram(hist, fold(samples));
+  EXPECT_EQ(hist.count(), sharded.merged_stats().samples);
+
+  // One shard sees the trace in order, so the recovered run is a single
+  // monitor that processed packets [0, 128) — the committed cut — and then
+  // [160, n): the lost batch [128, 160) contributes nothing.
+  std::vector<core::RttSample> reference;
+  core::DartMonitor single(monitor_config(),
+                           [&reference](const core::RttSample& sample) {
+                             reference.push_back(sample);
+                           });
+  const std::span<const PacketRecord> packets(trace.packets());
+  single.process_all(packets.subspan(0, 128));
+  single.process_all(packets.subspan(160));
+  runtime::deterministic_order(reference);
+  EXPECT_EQ(samples, reference);
+  expect_same_histogram(hist, fold(reference));
+}
+
 TEST(Recovery, KillAtBarrierLosesNothing) {
   const trace::Trace trace = recovery_workload(8);
   const std::uint64_t n = trace.packets().size();
@@ -158,11 +210,11 @@ TEST(Recovery, RepeatedKillsExhaustBudgetAndDegradeToShed) {
   // is tombstoned and degrades to the shed path. Shard 1 is untouched.
   runtime::FaultPlan plan;
   plan.kill(/*shard=*/0, /*after_batches=*/0, /*times=*/1000);
-  runtime::SupervisorConfig config = recovery_config(&plan);
+  runtime::ShardedConfig config = recovery_config(&plan);
   config.shards = 2;
   config.queue_batches = 64;
 
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
@@ -196,11 +248,11 @@ TEST(Recovery, HungWorkerIsReplacedAndZombieIsFencedOff) {
   // 128-cut and the crash window itself is empty.
   runtime::FaultPlan plan;
   plan.hang(/*shard=*/0, /*at_batch=*/4);
-  runtime::SupervisorConfig config = recovery_config(&plan);
+  runtime::ShardedConfig config = recovery_config(&plan);
   config.queue_batches = 4;
   config.hang_detection_ns = 100'000'000;  // 100 ms
 
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
@@ -239,7 +291,7 @@ TEST(Recovery, NoCheckpointsMeansTheWholePrefixIsTheLossWindow) {
   // motivates cutting checkpoints at all.
   runtime::FaultPlan plan;
   plan.kill(/*shard=*/0, /*after_batches=*/5);
-  runtime::SupervisorConfig config = recovery_config(&plan);
+  runtime::ShardedConfig config = recovery_config(&plan);
   config.checkpoint = runtime::CheckpointPolicy{};  // disabled
 
   const RunResult faulty = run_supervised(trace, config);

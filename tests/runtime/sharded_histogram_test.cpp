@@ -105,6 +105,37 @@ TEST(ShardedHistogram, MergedHistogramEqualsFoldOfMergedSamples) {
   }
 }
 
+TEST(ShardedHistogram, CheckpointedRunBinsWithoutRetainingSamples) {
+  // Barrier commits carry histogram deltas, so a checkpointed run without
+  // retained samples still bins every sample exactly once — and keeps no
+  // RttSample anywhere, committed or not.
+  const trace::Trace trace = histogram_workload();
+  const Case cases[] = {{"unbounded", unbounded_config()},
+                        {"bounded", bounded_config()}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    runtime::ShardedConfig config;
+    config.shards = 4;
+    config.retain_samples = false;
+    runtime::ShardedMonitor plain(config, c.dart);
+    plain.process_all(trace.packets());
+    plain.finish();
+
+    config.checkpoint.interval_packets = 1000;
+    runtime::ShardedMonitor checkpointed(config, c.dart);
+    checkpointed.process_all(trace.packets());
+    checkpointed.finish();
+    ASSERT_GT(checkpointed.checkpoints_cut(), 0U);
+    for (std::uint32_t i = 0; i < checkpointed.shards(); ++i) {
+      EXPECT_TRUE(checkpointed.shard_samples(i).empty());
+    }
+    const analytics::LogHistogram hist = checkpointed.merged_histogram();
+    ASSERT_GT(hist.count(), 0U);
+    expect_same_histogram(hist, plain.merged_histogram());
+    EXPECT_EQ(hist.count(), checkpointed.merged_stats().samples);
+  }
+}
+
 TEST(ShardedHistogram, EmptyStreamMergesToEmptyHistogram) {
   runtime::ShardedConfig config;
   config.shards = 4;

@@ -1,10 +1,11 @@
-// ShardSupervisor under fault-free conditions: the supervised runtime must
-// be a drop-in for ShardedMonitor — same routing, same merged results —
-// while cutting checkpoints at a deterministic barrier cadence. The
-// crash-path behavior lives in recovery_chaos_test.cpp (fault-injection
-// builds); here we pin the no-fault contract and the coordinator's fencing
-// rules, which must hold long before anything crashes.
-#include "runtime/shard_supervisor.hpp"
+// ShardedMonitor with checkpointing under fault-free conditions: a
+// checkpointed run must match an unsupervised one — same routing, same
+// merged results — while cutting checkpoints at a deterministic barrier
+// cadence. The crash-path behavior lives in recovery_chaos_test.cpp
+// (fault-injection builds); here we pin the no-fault contract and the
+// coordinator's fencing rules, which must hold long before anything
+// crashes.
+#include "runtime/sharded_monitor.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/checkpoint_coordinator.hpp"
-#include "runtime/sharded_monitor.hpp"
 
 namespace dart {
 namespace {
@@ -33,8 +33,8 @@ core::DartConfig monitor_config() {
   return config;
 }
 
-runtime::SupervisorConfig supervisor_config() {
-  runtime::SupervisorConfig config;
+runtime::ShardedConfig supervisor_config() {
+  runtime::ShardedConfig config;
   config.shards = 4;
   config.batch_size = 64;
   config.queue_batches = 64;
@@ -56,9 +56,9 @@ std::vector<core::RttSample> reference_samples(const trace::Trace& trace) {
 
 TEST(Supervisor, CleanRunMatchesSingleMonitor) {
   const trace::Trace trace = workload(1);
-  runtime::SupervisorConfig config = supervisor_config();
+  runtime::ShardedConfig config = supervisor_config();
   config.checkpoint.interval_packets = 512;
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
@@ -88,9 +88,9 @@ TEST(Supervisor, MatchesShardedMonitorRun) {
   sharded.process_all(trace.packets());
   sharded.finish();
 
-  runtime::SupervisorConfig config = supervisor_config();
+  runtime::ShardedConfig config = supervisor_config();
   config.checkpoint.interval_packets = 777;  // odd cadence on purpose
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
@@ -103,10 +103,10 @@ TEST(Supervisor, MatchesShardedMonitorRun) {
 
 TEST(Supervisor, PacketBarrierCadenceIsExact) {
   const trace::Trace trace = workload(3);
-  runtime::SupervisorConfig config = supervisor_config();
+  runtime::ShardedConfig config = supervisor_config();
   config.shards = 1;  // single stream: the cadence arithmetic is exact
   config.checkpoint.interval_packets = 256;
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
@@ -125,12 +125,12 @@ TEST(Supervisor, PacketBarrierCadenceIsExact) {
 
 TEST(Supervisor, VirtualTimeBarriersFollowTheTraceClock) {
   const trace::Trace trace = workload(4);
-  runtime::SupervisorConfig config = supervisor_config();
+  runtime::ShardedConfig config = supervisor_config();
   config.shards = 1;
   config.checkpoint.interval_vtime_ns = msec(500);
 
   auto run = [&] {
-    runtime::ShardSupervisor supervisor(config, monitor_config());
+    runtime::ShardedMonitor supervisor(config, monitor_config());
     supervisor.process_all(trace.packets());
     supervisor.finish();
     return supervisor.checkpoints_cut();
@@ -145,8 +145,7 @@ TEST(Supervisor, VirtualTimeBarriersFollowTheTraceClock) {
 
 TEST(Supervisor, DisabledCheckpointingStillMergesEverything) {
   const trace::Trace trace = workload(5);
-  runtime::ShardSupervisor supervisor(supervisor_config(),
-                                      monitor_config());
+  runtime::ShardedMonitor supervisor(supervisor_config(), monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "gen/workload.hpp"
-#include "runtime/shard_supervisor.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
@@ -172,11 +171,11 @@ TEST(RuntimeTelemetry, SupervisorExportsIdentityAndCommits) {
   telemetry::Registry registry(kShards);
   telemetry::RuntimeMetrics metrics(registry);
 
-  runtime::SupervisorConfig config;
+  runtime::ShardedConfig config;
   config.shards = kShards;
   config.checkpoint.interval_packets = 2048;
   config.telemetry = &metrics;
-  runtime::ShardSupervisor supervisor(config, reference_config());
+  runtime::ShardedMonitor supervisor(config, reference_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
