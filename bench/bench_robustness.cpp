@@ -22,6 +22,7 @@
 //     sample coverage.
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -84,14 +85,14 @@ class SlowReplayMonitor : public runtime::ReplayMonitor {
                     core::SampleCallback on_sample, std::uint64_t burn_ns)
       : inner_(config, std::move(on_sample)), burn_ns_(burn_ns) {}
 
-  void process(const PacketRecord& packet) override {
+  void process_batch(std::span<const PacketRecord> packets) override {
     if (burn_ns_ > 0) {
       const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::nanoseconds(burn_ns_);
+                         std::chrono::nanoseconds(burn_ns_ * packets.size());
       while (std::chrono::steady_clock::now() < until) {
       }
     }
-    inner_.process(packet);
+    inner_.process_batch(packets);
   }
   core::DartStats stats() const override { return inner_.stats(); }
 

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "baseline/dapper.hpp"
 #include "baseline/strawman.hpp"
@@ -207,12 +209,12 @@ BENCHMARK(BM_WorkloadGeneration)
 // Scalar-vs-batched trajectory rows (DESIGN.md §11).
 //
 // The two single-shard rows are the heart of the persisted trajectory: the
-// same DartReplayMonitor driven through the two worker inner loops the
-// sharded runtime can run — a virtual call per packet (scalar) vs one
-// process_batch call per 256-packet ring batch (batched SoA with hash
-// precomputation and register-row prefetch). The shard sweep then shows the
-// same toggle end-to-end through router + rings. Emitted as dart-bench-v1
-// JSON (--json) and folded into BENCH_pr6.json by scripts/bench_persist.py.
+// same DartReplayMonitor fed one DartMonitor::process call per packet (the
+// scalar reference) vs the worker's view, one virtual process_batch call
+// per 256-packet ring batch (batched SoA with hash precomputation and
+// register-row prefetch). The shard sweep then times the batched workers
+// end-to-end through router + rings. Emitted as dart-bench-v1 JSON (--json)
+// and folded into BENCH_pr6.json by scripts/bench_persist.py.
 
 core::DartConfig hot_config() {
   core::DartConfig config;
@@ -274,7 +276,9 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
               all.subspan(at, std::min<std::size_t>(256, all.size() - at)));
         }
       } else {
-        for (const PacketRecord& packet : all) monitor->process(packet);
+        for (const PacketRecord& packet : all) {
+          replay.monitor().process(packet);
+        }
       }
     });
     benchmark::DoNotOptimize(samples);
@@ -289,25 +293,23 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     if (quick && shards > 2) break;
-    for (const bool batched : {false, true}) {
-      const auto run = [&]() -> double {
-        runtime::ShardedConfig config;
-        config.shards = shards;
-        config.batched_workers = batched;
-        runtime::ShardedMonitor sharded(config, hot_config());
-        const double ns = bench::timed_section_ns([&] {
-          sharded.process_all(trace.packets());
-          sharded.finish();
-        });
-        benchmark::DoNotOptimize(sharded.merged_stats().samples);
-        return ns;
-      };
-      rows.push_back(bench::measure_row_timed(
-          std::string("sharded_") + (batched ? "batched" : "scalar") + "_" +
-              std::to_string(shards) + "shard",
-          batched ? "batched" : "scalar", shards, packets, warmup, reps,
-          run));
-    }
+    const auto run = [&]() -> double {
+      runtime::ShardedConfig config;
+      config.shards = shards;
+      runtime::ShardedMonitor sharded(config, hot_config());
+      const double ns = bench::timed_section_ns([&] {
+        sharded.process_all(trace.packets());
+        sharded.finish();
+      });
+      benchmark::DoNotOptimize(sharded.merged_stats().samples);
+      return ns;
+    };
+    std::string name = "sharded_batched_";
+    name += std::to_string(shards);
+    name += "shard";
+    rows.push_back(bench::measure_row_timed(std::move(name), "batched",
+                                            shards, packets, warmup, reps,
+                                            run));
   }
   return rows;
 }

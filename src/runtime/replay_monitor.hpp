@@ -1,7 +1,8 @@
 // The per-shard monitor interface of the sharded replay runtime.
 //
-// Each worker thread owns one ReplayMonitor and is its only caller, so
-// implementations need no internal synchronization — the runtime provides
+// Each worker thread owns one ReplayMonitor and is its only caller: it
+// hands every dequeued ring batch to process_batch(), in arrival order.
+// Implementations need no internal synchronization — the runtime provides
 // the happens-before edges (queue publication on the way in, thread join on
 // the way out). DartMonitor is the primary implementation; any baseline
 // monitor with a `process(const PacketRecord&)` member fits behind
@@ -24,21 +25,13 @@ class ReplayMonitor {
  public:
   virtual ~ReplayMonitor() = default;
 
-  /// Process one packet of this shard's stream, in arrival order.
-  virtual void process(const PacketRecord& packet) = 0;
-
-  /// Process a whole dequeued ring batch, in arrival order. The default
-  /// forwards to process() one packet at a time so existing monitors keep
-  /// working unchanged; DartReplayMonitor overrides it with DartMonitor's
-  /// batched SoA fast path. An override must be observably identical to
-  /// the scalar loop — the batch differential suite holds the two worker
-  /// modes to identical merged stats, samples, and snapshots.
-  virtual void process_batch(std::span<const PacketRecord> packets) {
-    for (const PacketRecord& packet : packets) process(packet);
-  }
+  /// Process one dequeued ring batch of this shard's stream, in arrival
+  /// order.
+  virtual void process_batch(std::span<const PacketRecord> packets) = 0;
 
   /// Counters to fold into the run's merged statistics. Implementations
-  /// without Dart-shaped counters may return a default-constructed value.
+  /// without Dart-shaped counters fill in packets_processed alone, the one
+  /// term of the accounting identity a monitor supplies.
   virtual core::DartStats stats() const = 0;
 
   /// Checkpoint support (the runtime's crash-recovery path). A monitor
@@ -68,9 +61,6 @@ class DartReplayMonitor : public ReplayMonitor {
                     core::SampleCallback on_sample)
       : monitor_(config, std::move(on_sample)) {}
 
-  void process(const PacketRecord& packet) override {
-    monitor_.process(packet);
-  }
   void process_batch(std::span<const PacketRecord> packets) override {
     monitor_.process_batch(packets);
   }
@@ -99,8 +89,9 @@ inline MonitorFactory dart_factory(const core::DartConfig& config) {
 }
 
 /// Adapter for baseline monitors (TcpTrace, Strawman, DapperLike, ...):
-/// any type with `process(const PacketRecord&)` works. Construct with a
-/// ready-made instance whose sample callback is already wired:
+/// any type with `process(const PacketRecord&)` works; its stats() counts
+/// the packets processed and nothing else. Construct with a ready-made
+/// instance whose sample callback is already wired:
 ///
 ///   ShardedMonitor sharded(cfg, [](std::uint32_t, core::SampleCallback cb) {
 ///     return make_basic_replay_monitor(
@@ -111,16 +102,18 @@ class BasicReplayMonitor : public ReplayMonitor {
  public:
   explicit BasicReplayMonitor(M monitor) : monitor_(std::move(monitor)) {}
 
-  void process(const PacketRecord& packet) override {
-    monitor_.process(packet);
+  void process_batch(std::span<const PacketRecord> packets) override {
+    for (const PacketRecord& packet : packets) monitor_.process(packet);
+    stats_.packets_processed += packets.size();
   }
-  core::DartStats stats() const override { return {}; }
+  core::DartStats stats() const override { return stats_; }
 
   M& monitor() { return monitor_; }
   const M& monitor() const { return monitor_; }
 
  private:
   M monitor_;
+  core::DartStats stats_;
 };
 
 template <typename M>

@@ -61,7 +61,6 @@ std::uint64_t ShardedMonitor::incarnate(Shard& shard, std::uint64_t base,
                                         bool restart) {
   auto inc = std::make_shared<Incarnation>(config_.queue_batches);
   inc->shard = shard.index;
-  inc->batched = config_.batched_workers;
   // Taking ownership is the fence: any commit still in flight from a
   // predecessor (or a released zombie) is rejected from this instant, so
   // the cut read below is final.
@@ -75,7 +74,7 @@ std::uint64_t ShardedMonitor::incarnate(Shard& shard, std::uint64_t base,
   inc->metrics = config_.telemetry;
 #endif
   // The callback writes the worker-private delta: the worker thread is the
-  // only caller of monitor->process, hence the only writer.
+  // only caller of monitor->process_batch, hence the only writer.
   Incarnation* const sink = inc.get();
   const bool retain = config_.retain_samples;
   auto on_sample = [sink, retain](const core::RttSample& sample) {
@@ -181,13 +180,7 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
                                    ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
 #endif
-      if (inc.batched) {
-        inc.monitor->process_batch(work.batch);
-      } else {
-        for (const PacketRecord& packet : work.batch) {
-          inc.monitor->process(packet);
-        }
-      }
+      inc.monitor->process_batch(work.batch);
       inc.packets_done.fetch_add(work.batch.size(), std::memory_order_release);
 #if defined(DART_TELEMETRY)
       if (inc.metrics != nullptr) {

@@ -10,7 +10,8 @@
 // one of N shards; each shard is a worker thread owning a private monitor
 // (no shared mutable state between shards). Handoff is batched (~256
 // packets per push) through bounded SPSC rings; a full ring backpressures
-// the router, bounding memory at O(shards * queue depth * batch).
+// the router, bounding memory at O(shards * queue depth * batch). A worker
+// hands each batch it pops to ReplayMonitor::process_batch.
 //
 // Determinism: both directions of a connection hash to the same shard and
 // the single router preserves arrival order into each FIFO ring, so every
@@ -21,7 +22,9 @@
 // reference counters; `merged_samples()` returns the canonical sorted order
 // so equal multisets compare equal as vectors. Bounded tables shared by
 // many flows break this equivalence by design (shards see different
-// collision patterns); the differential tests pin down both regimes.
+// collision patterns). In both regimes each shard equals a plain
+// DartMonitor fed that shard's partition of the stream, stats and samples
+// in emission order alike; the differential tests hold every shard to it.
 //
 // Bin in place, one result path: every worker folds each sample into a
 // fixed-geometry LogHistogram (plus a raw sample log under
@@ -107,14 +110,6 @@ struct ShardedConfig {
 
   /// Routing hash seed; independent of the monitors' table hash seeds.
   std::uint64_t route_seed = 0xDA27'0002;
-
-  /// Workers hand each dequeued ring batch to ReplayMonitor::process_batch
-  /// (DartMonitor's batched SoA fast path). false forces the per-packet
-  /// virtual loop — the scalar baseline the batch differential suite and
-  /// bench_throughput's scalar rows compare against. Routing, ordering,
-  /// shed/backpressure accounting, barrier placement and result merging
-  /// are identical in both modes; only the worker's inner loop changes.
-  bool batched_workers = true;
 
   /// Keep every RTT sample, for shard_samples() and merged_samples(). The
   /// per-shard histograms behind merged_histogram() are fed either way;
@@ -296,7 +291,6 @@ class ShardedMonitor {
     core::DartStats final_stats DART_PUBLISHED_BY(exited);
     std::thread thread;
     std::uint32_t shard = 0;
-    bool batched = true;            ///< worker-loop mode, from the config
     std::uint64_t id = 0;           ///< coordinator incarnation id (fence)
     std::uint64_t base_cursor = 0;  ///< shard-stream position at start
     std::shared_ptr<CheckpointCoordinator> coordinator;

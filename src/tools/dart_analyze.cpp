@@ -54,6 +54,21 @@
 // Usage:
 //   dart-analyze --repo-root DIR          # scan DIR/src tree-wide
 //   dart-analyze [--treat-as CLASS] FILE...  # explicit files (fixtures)
+
+// GCC 12 with -fsanitize=address,undefined reports a false
+// -Wmaybe-uninitialized inside libstdc++'s std::function as <regex> uses it.
+// Silence it for these headers alone, included first so that no earlier
+// header pulls std::function in outside the region.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+#include <functional>
+#include <regex>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
@@ -61,7 +76,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>

@@ -1,21 +1,24 @@
 // Differential proof that the batched SoA hot path is observably identical
-// to the scalar per-packet path. This is the safety net under the PR that
-// rewrote the repo's most correctness-critical loop: every scenario runs
-// the same stream through DartMonitor::process_all (scalar reference) and
+// to the scalar per-packet path. This is the safety net under the repo's
+// most correctness-critical loop: every scenario runs the same stream
+// through DartMonitor::process_all (scalar reference) and
 // DartMonitor::process_batch, and asserts byte-identical checkpoint
 // snapshots (config, stats, RT, PT, shadow — the complete monitor state),
 // identical sample streams *in emission order*, identical collapse /
-// optimistic-ACK event streams, and — through the sharded runtime —
-// identical per-shard and merged results between the batched and scalar
-// worker modes, including the deterministic telemetry export text.
+// optimistic-ACK event streams, and — through the sharded runtime, whose
+// workers run process_batch — per-shard results and the deterministic
+// telemetry export identical to a plain DartMonitor fed each shard's
+// partition one packet at a time.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 #if defined(DART_TELEMETRY)
@@ -178,68 +181,71 @@ TEST(BatchDifferential, SynInclusionMatchesScalar) {
   expect_identical(scalar, batched, "+SYN");
 }
 
-// The sharded runtime's two worker modes (process_batch vs per-packet
-// loop) must produce identical per-shard and merged results: same router,
-// same rings, same arrival order — only the worker's inner loop differs.
+// Each shard of the sharded runtime equals a plain DartMonitor fed its
+// partition through process(), in every scenario and both table regimes,
+// for a ring batch that divides the checkpoint interval and one that never
+// does, with and without barrier commits in the stream.
 TEST(BatchDifferential, ShardedWorkerModesAgreePerShard) {
-  const auto trace = gen::build_campus(base_campus());
-
-  for (const bool bounded : {false, true}) {
-    const core::DartConfig dart_config =
-        bounded ? bounded_config() : unbounded_config();
-
-    runtime::ShardedConfig scalar_config;
-    scalar_config.shards = 4;
-    scalar_config.batched_workers = false;
-    runtime::ShardedMonitor scalar(scalar_config, dart_config);
-    scalar.process_all(trace.packets());
-    scalar.finish();
-
-    runtime::ShardedConfig batched_config;
-    batched_config.shards = 4;
-    batched_config.batched_workers = true;
-    runtime::ShardedMonitor batched(batched_config, dart_config);
-    batched.process_all(trace.packets());
-    batched.finish();
-
-    for (std::uint32_t i = 0; i < scalar.shards(); ++i) {
-      EXPECT_EQ(scalar.shard_stats(i), batched.shard_stats(i))
-          << "shard " << i << " stats diverged (bounded=" << bounded << ")";
-      EXPECT_EQ(scalar.shard_samples(i).samples(),
-                batched.shard_samples(i).samples())
-          << "shard " << i << " samples diverged (bounded=" << bounded << ")";
+  for (const Scenario& scenario : scenarios()) {
+    const auto trace = gen::build_campus(scenario.campus);
+    for (const bool bounded : {false, true}) {
+      const core::DartConfig dart_config =
+          bounded ? bounded_config() : unbounded_config();
+      for (const auto& [batch_size, interval] :
+           {std::pair<std::size_t, std::uint64_t>{256, 0},
+            std::pair<std::size_t, std::uint64_t>{256, 1024},
+            std::pair<std::size_t, std::uint64_t>{7, 1024}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << scenario.name << " bounded=" << bounded
+                     << " batch=" << batch_size << " interval=" << interval);
+        runtime::ShardedConfig config;
+        config.shards = 4;
+        config.batch_size = batch_size;
+        config.checkpoint.interval_packets = interval;
+        runtime::ShardedMonitor sharded(config, dart_config);
+        sharded.process_all(trace.packets());
+        sharded.finish();
+        EXPECT_EQ(sharded.checkpoints_cut() > 0, interval != 0);
+        test::expect_matches_partitions(sharded, dart_config,
+                                        trace.packets());
+      }
     }
-    EXPECT_EQ(scalar.merged_stats(), batched.merged_stats());
-    EXPECT_EQ(scalar.merged_samples(), batched.merged_samples());
   }
 }
 
 #if defined(DART_TELEMETRY)
-// Deterministic-tier telemetry is derived from the merged results at
-// quiesce time, so the exported text must be byte-identical between the
-// two worker modes.
+// Deterministic-tier telemetry is folded from the settled per-shard results
+// at quiesce time, so the exported text must be byte-identical to a
+// registry folded from the per-partition reference counters.
 TEST(BatchDifferential, DeterministicTelemetryExportIsIdentical) {
   const auto trace = gen::build_campus(base_campus());
+  telemetry::SnapshotOptions options;
+  options.deterministic_only = true;
 
-  const auto deterministic_export = [&](bool batched_workers) {
-    telemetry::Registry registry(4);
-    telemetry::RuntimeMetrics metrics(registry);
-    runtime::ShardedConfig config;
-    config.shards = 4;
-    config.batched_workers = batched_workers;
-    config.telemetry = &metrics;
-    runtime::ShardedMonitor sharded(config, bounded_config());
-    sharded.process_all(trace.packets());
-    sharded.finish();
-    telemetry::SnapshotOptions options;
-    options.deterministic_only = true;
-    return telemetry::to_prometheus(registry.snapshot(options));
-  };
+  telemetry::Registry registry(4);
+  telemetry::RuntimeMetrics metrics(registry);
+  runtime::ShardedConfig config;
+  config.shards = 4;
+  config.telemetry = &metrics;
+  runtime::ShardedMonitor sharded(config, bounded_config());
+  sharded.process_all(trace.packets());
+  sharded.finish();
+  const std::string sharded_text =
+      telemetry::to_prometheus(registry.snapshot(options));
 
-  const std::string scalar_text = deterministic_export(false);
-  const std::string batched_text = deterministic_export(true);
-  EXPECT_FALSE(scalar_text.empty());
-  EXPECT_EQ(scalar_text, batched_text);
+  telemetry::Registry ref_registry(4);
+  telemetry::RuntimeMetrics ref_metrics(ref_registry);
+  const auto parts = test::partition(trace.packets(), config);
+  for (std::uint32_t i = 0; i < parts.size(); ++i) {
+    ref_metrics.fold_authoritative(
+        i, parts[i].size(),
+        test::scalar_reference(bounded_config(), parts[i]).stats);
+  }
+  const std::string reference_text =
+      telemetry::to_prometheus(ref_registry.snapshot(options));
+
+  EXPECT_FALSE(reference_text.empty());
+  EXPECT_EQ(sharded_text, reference_text);
 }
 
 // The live tier's batch_fill histogram is the batching observability hook:

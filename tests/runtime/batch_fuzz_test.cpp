@@ -2,11 +2,12 @@
 // cut into batches — fixed widths, the ring-batch capacity, random
 // mid-flow splits, interleaved scalar calls — the monitor's observable
 // behaviour and end-state snapshot must be bit-identical to the scalar
-// reference. Also covers the two runtime hazards the batching refactor
-// could have introduced: a batch split straddling a checkpoint epoch
-// barrier (supervised runtime), a forced-shed window (fault-injected
-// worker kill), and the partial-final-batch flush at shutdown — the
-// mirror of the MinFilter partial-tail bug class fixed in PR 5.
+// reference. Also covers the runtime hazards of batched handoff, each
+// against a plain DartMonitor fed every shard's partition through
+// process(): a batch split straddling a checkpoint epoch barrier, a
+// forced-shed window (fault-injected worker kill), and the
+// partial-final-batch flush at shutdown — the mirror of the MinFilter
+// partial-tail bug class.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "core/dart_monitor.hpp"
 #include "core/packet_batch.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 #if defined(DART_FAULT_INJECTION)
@@ -201,99 +203,69 @@ TEST_P(BatchFuzz, InterleavedScalarAndBatchedCallsMatch) {
 
 // Regression for the partial-tail bug class: a final ring batch smaller
 // than batch_size (router pending buffer drained at finish()) must be
-// flushed into the workers, not dropped. With per-flow state the merged
-// run must reproduce the single-monitor reference exactly, packet counts
-// included.
+// flushed into the workers, not dropped: every shard reproduces its whole
+// partition's reference, packet counts included.
 TEST_P(BatchFuzz, PartialFinalBatchIsFlushedNotDropped) {
   // 10007 is prime: never a multiple of any batch_size, so the run always
   // ends on a ragged partial batch.
   const auto packets = garbage(GetParam() ^ 0x9A11, 10007);
 
-  core::DartConfig dart_config;  // unbounded: exact equivalence
-  dart_config.include_syn = true;
-  dart_config.leg = core::LegMode::kBoth;
-
-  std::vector<core::RttSample> reference;
-  core::DartMonitor single(dart_config, [&](const core::RttSample& sample) {
-    reference.push_back(sample);
-  });
-  single.process_all(packets);
-  runtime::deterministic_order(reference);
-
-  for (const bool batched_workers : {false, true}) {
-    runtime::ShardedConfig config;
-    config.shards = 3;
-    config.batch_size = 64;
-    config.batched_workers = batched_workers;
-    runtime::ShardedMonitor sharded(config, dart_config);
-    sharded.process_all(packets);
-    sharded.finish();
-
-    EXPECT_EQ(sharded.merged_stats().packets_processed, packets.size())
-        << "batched_workers=" << batched_workers
-        << ": the partial final batch was not flushed";
-    EXPECT_EQ(sharded.health().shed_packets, 0U);
-    EXPECT_EQ(sharded.merged_samples(), reference)
-        << "batched_workers=" << batched_workers;
-  }
-}
-
-// A batch split straddling a checkpoint epoch barrier: the supervised
-// runtime interleaves barrier markers between ring batches, so with a
-// batch width that never divides the barrier interval, every epoch
-// boundary lands mid-batch-stream. Both worker modes must commit the same
-// checkpoints and produce identical merged results.
-TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
-  const auto packets = garbage(GetParam() ^ 0xEB0C, 20000);
-
   core::DartConfig dart_config;
   dart_config.include_syn = true;
   dart_config.leg = core::LegMode::kBoth;
 
-  const auto run_supervised = [&](bool batched_workers) {
+  runtime::ShardedConfig config;
+  config.shards = 3;
+  config.batch_size = 64;
+  runtime::ShardedMonitor sharded(config, dart_config);
+  sharded.process_all(packets);
+  sharded.finish();
+
+  EXPECT_EQ(sharded.merged_stats().packets_processed, packets.size())
+      << "the partial final batch was not flushed";
+  EXPECT_EQ(sharded.health().shed_packets, 0U);
+  test::expect_matches_partitions(sharded, dart_config, packets);
+}
+
+// A batch split straddling a checkpoint epoch barrier: the runtime
+// interleaves barrier markers between ring batches, so with a batch width
+// that never divides the barrier interval, every epoch boundary lands
+// mid-batch-stream. Barrier commits must neither perturb the monitors —
+// each shard still equals its partition's reference, bounded tables
+// included — nor be skipped: one cut per full interval of a shard's stream.
+TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
+  const auto packets = garbage(GetParam() ^ 0xEB0C, 20000);
+
+  core::DartConfig unbounded;
+  unbounded.include_syn = true;
+  unbounded.leg = core::LegMode::kBoth;
+
+  for (const core::DartConfig& dart_config : {unbounded, stress_config()}) {
+    SCOPED_TRACE(dart_config.rt_size == 0 ? "unbounded" : "bounded");
     runtime::ShardedConfig config;
     config.shards = 2;
     config.batch_size = 7;  // never divides the barrier interval
     config.checkpoint.interval_packets = 1000;
-    config.batched_workers = batched_workers;
-    runtime::ShardedMonitor supervisor(config, dart_config);
-    supervisor.process_all(packets);
-    supervisor.finish();
-    return std::tuple(supervisor.merged_stats(), supervisor.merged_samples(),
-                      supervisor.checkpoints_cut());
-  };
+    runtime::ShardedMonitor sharded(config, dart_config);
+    sharded.process_all(packets);
+    sharded.finish();
 
-  const auto [scalar_stats, scalar_samples, scalar_ckpts] =
-      run_supervised(false);
-  const auto [batched_stats, batched_samples, batched_ckpts] =
-      run_supervised(true);
-
-  EXPECT_GT(scalar_ckpts, 0U);
-  EXPECT_EQ(scalar_ckpts, batched_ckpts);
-  // RuntimeHealth carries wall-clock backpressure counters that may differ
-  // between any two runs; compare its deterministic fields explicitly and
-  // mask it out of the full-struct comparison.
-  EXPECT_EQ(scalar_stats.runtime.shed_packets,
-            batched_stats.runtime.shed_packets);
-  EXPECT_EQ(scalar_stats.runtime.abandoned_packets,
-            batched_stats.runtime.abandoned_packets);
-  EXPECT_EQ(scalar_stats.runtime.lost_to_crash,
-            batched_stats.runtime.lost_to_crash);
-  core::DartStats scalar_masked = scalar_stats;
-  core::DartStats batched_masked = batched_stats;
-  scalar_masked.runtime = core::RuntimeHealth{};
-  batched_masked.runtime = core::RuntimeHealth{};
-  EXPECT_EQ(scalar_masked, batched_masked);
-  EXPECT_EQ(scalar_samples, batched_samples);
+    std::uint64_t expected_cuts = 0;
+    for (const auto& part : test::partition(packets, config)) {
+      expected_cuts += part.size() / config.checkpoint.interval_packets;
+    }
+    EXPECT_GT(expected_cuts, 0U);
+    EXPECT_EQ(sharded.checkpoints_cut(), expected_cuts);
+    test::expect_matches_partitions(sharded, dart_config, packets);
+  }
 }
 
 #if defined(DART_FAULT_INJECTION)
-// A forced-shed window: kill one worker mid-run so the router sheds the
-// remainder of its shard's stream. The packets processed before the kill
-// are a deterministic prefix (the fault fires on the worker's batch
-// clock), so both worker modes must agree on every processed-side result
-// and on the shed totals; only wall-clock noise (backpressure counters)
-// may differ.
+// A forced-shed window: kill one worker mid-run with no restart budget, so
+// the router sheds the remainder of its shard's stream. The fault fires on
+// the worker's batch clock, so the dead shard is exactly a reference fed
+// its partition's first 3 batches, the healthy shard its whole partition,
+// and the shed window is the rest of the dead shard's partition.
 TEST_P(BatchFuzz, ForcedShedWindowMatchesAcrossWorkerModes) {
   const auto packets = garbage(GetParam() ^ 0x5EED, 20000);
 
@@ -301,38 +273,30 @@ TEST_P(BatchFuzz, ForcedShedWindowMatchesAcrossWorkerModes) {
   dart_config.include_syn = true;
   dart_config.leg = core::LegMode::kBoth;
 
-  const auto run_with_kill = [&](bool batched_workers) {
-    runtime::FaultPlan faults;
-    faults.kill(0, 3);  // shard 0 dies after exactly 3 batches
-    runtime::ShardedConfig config;
-    config.shards = 2;
-    config.batch_size = 16;
-    config.batched_workers = batched_workers;
-    config.faults = &faults;
-    runtime::ShardedMonitor sharded(config, dart_config);
-    sharded.process_all(packets);
-    sharded.finish();
-    return std::tuple(sharded.merged_stats(), sharded.merged_samples());
-  };
+  runtime::FaultPlan faults;
+  faults.kill(0, 3);  // shard 0 dies after exactly 3 batches
+  runtime::ShardedConfig config;
+  config.shards = 2;
+  config.batch_size = 16;
+  config.faults = &faults;
+  runtime::ShardedMonitor sharded(config, dart_config);
+  sharded.process_all(packets);
+  sharded.finish();
 
-  const auto [scalar_stats, scalar_samples] = run_with_kill(false);
-  const auto [batched_stats, batched_samples] = run_with_kill(true);
-
-  // The shed window is real in both runs...
-  EXPECT_GT(scalar_stats.runtime.shed_packets, 0U);
-  // ...identically sized (routed and processed prefixes are deterministic,
-  // and shed absorbs exactly the rest)...
-  EXPECT_EQ(scalar_stats.runtime.shed_packets,
-            batched_stats.runtime.shed_packets);
-  EXPECT_EQ(scalar_stats.packets_processed, batched_stats.packets_processed);
-  // ...and the monitor-side results are identical once the wall-clock
-  // backpressure noise is masked out.
-  core::DartStats scalar_masked = scalar_stats;
-  core::DartStats batched_masked = batched_stats;
-  scalar_masked.runtime = core::RuntimeHealth{};
-  batched_masked.runtime = core::RuntimeHealth{};
-  EXPECT_EQ(scalar_masked, batched_masked);
-  EXPECT_EQ(scalar_samples, batched_samples);
+  const auto parts = test::partition(packets, config);
+  const std::size_t done = 3 * config.batch_size;
+  ASSERT_GT(parts[0].size(), done);
+  const core::RuntimeHealth health = sharded.health();
+  EXPECT_EQ(health.workers_killed, 1U);
+  EXPECT_EQ(health.shed_packets, parts[0].size() - done);
+  EXPECT_EQ(health.lost_to_crash, 0U);
+  EXPECT_EQ(health.abandoned_packets, 0U);
+  test::expect_shard_matches(
+      sharded, 0,
+      test::scalar_reference(dart_config,
+                             std::span(parts[0]).first(done)));
+  test::expect_shard_matches(sharded, 1,
+                             test::scalar_reference(dart_config, parts[1]));
 }
 #endif  // DART_FAULT_INJECTION
 

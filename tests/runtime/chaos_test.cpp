@@ -11,7 +11,7 @@
 //                       fault-free run minus exactly the shed packets.
 //
 // Only built with -DDART_FAULT_INJECTION=ON (see tests/CMakeLists.txt and
-// the chaos-tsan CI job).
+// the tsan CI job).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "analytics/histogram.hpp"
-#include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/sharded_monitor.hpp"
 
@@ -273,14 +273,9 @@ TEST(Chaos, SkewedTimestampsDegradeGracefully) {
 
   // Sharded replay of the skewed trace matches a single monitor fed the
   // same skewed stream: flow order is preserved regardless of timestamps.
-  std::vector<core::RttSample> reference;
-  core::DartMonitor single(monitor_config(),
-                           [&reference](const core::RttSample& sample) {
-                             reference.push_back(sample);
-                           });
-  single.process_all(skewed.packets());
-  runtime::deterministic_order(reference);
-  EXPECT_EQ(first.samples, reference);
+  EXPECT_EQ(first.samples,
+            test::single_monitor_reference(monitor_config(), skewed.packets())
+                .samples);
 }
 
 TEST(Chaos, CombinedStallAndKillAcrossShards) {
@@ -301,20 +296,6 @@ TEST(Chaos, CombinedStallAndKillAcrossShards) {
             trace.packets().size());
 }
 
-analytics::LogHistogram fold(const std::vector<core::RttSample>& samples) {
-  analytics::LogHistogram hist;
-  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
-  return hist;
-}
-
-void expect_same_histogram(const analytics::LogHistogram& got,
-                           const analytics::LogHistogram& want) {
-  EXPECT_EQ(got.bins(), want.bins());
-  EXPECT_EQ(got.count(), want.count());
-  EXPECT_EQ(got.min(), want.min());
-  EXPECT_EQ(got.max(), want.max());
-}
-
 TEST(Chaos, KilledWorkerHistogramKeepsPreKillSamples) {
   // merged_histogram() follows merged_samples()' skip rule: a killed
   // worker's samples up to the kill are results like any other shard's.
@@ -329,7 +310,7 @@ TEST(Chaos, KilledWorkerHistogramKeepsPreKillSamples) {
   ASSERT_GT(sharded.shard_samples(1).size(), 0U)
       << "the kill must land after shard 1 emitted samples";
   const analytics::LogHistogram hist = sharded.merged_histogram();
-  expect_same_histogram(hist, fold(sharded.merged_samples()));
+  test::expect_same_histogram(hist, test::fold(sharded.merged_samples()));
   EXPECT_EQ(hist.count(), sharded.merged_stats().samples);
 }
 
@@ -353,7 +334,7 @@ TEST(Chaos, ForceDetachedShardIsExcludedFromHistogram) {
   ASSERT_EQ(sharded.health().forced_detaches, 1U);
 
   const analytics::LogHistogram hist = sharded.merged_histogram();
-  expect_same_histogram(hist, fold(sharded.merged_samples()));
+  test::expect_same_histogram(hist, test::fold(sharded.merged_samples()));
   std::uint64_t undisturbed = 0;
   for (std::uint32_t i = 1; i < clean.shards(); ++i) {
     undisturbed += clean.shard_stats(i).samples;
@@ -363,7 +344,7 @@ TEST(Chaos, ForceDetachedShardIsExcludedFromHistogram) {
 
   plan.release_hangs();
   ASSERT_TRUE(sharded.await_detached(sec(30)));
-  expect_same_histogram(sharded.merged_histogram(), hist);
+  test::expect_same_histogram(sharded.merged_histogram(), hist);
 }
 
 TEST(Chaos, WorkerWedgedAfterProgressIsAbandonedPastItsLastCut) {

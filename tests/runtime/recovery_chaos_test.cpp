@@ -23,8 +23,9 @@
 #include <vector>
 
 #include "analytics/histogram.hpp"
-#include "core/dart_monitor.hpp"
+#include "baseline/tcptrace.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/sharded_monitor.hpp"
 
@@ -125,20 +126,6 @@ TEST(Recovery, KilledShardRecoversFromCheckpoint) {
             n);
 }
 
-analytics::LogHistogram fold(const std::vector<core::RttSample>& samples) {
-  analytics::LogHistogram hist;
-  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
-  return hist;
-}
-
-void expect_same_histogram(const analytics::LogHistogram& got,
-                           const analytics::LogHistogram& want) {
-  EXPECT_EQ(got.bins(), want.bins());
-  EXPECT_EQ(got.count(), want.count());
-  EXPECT_EQ(got.min(), want.min());
-  EXPECT_EQ(got.max(), want.max());
-}
-
 TEST(Recovery, KilledShardHistogramExcludesTheCrashWindow) {
   // The KilledShardRecoversFromCheckpoint scenario, read through the
   // histogram: the restarted run's bins are committed deltas only, so they
@@ -155,23 +142,20 @@ TEST(Recovery, KilledShardHistogramExcludesTheCrashWindow) {
   const analytics::LogHistogram hist = sharded.merged_histogram();
   const std::vector<core::RttSample> samples = sharded.merged_samples();
   ASSERT_GT(samples.size(), 0U);
-  expect_same_histogram(hist, fold(samples));
+  test::expect_same_histogram(hist, test::fold(samples));
   EXPECT_EQ(hist.count(), sharded.merged_stats().samples);
 
   // One shard sees the trace in order, so the recovered run is a single
   // monitor that processed packets [0, 128) — the committed cut — and then
   // [160, n): the lost batch [128, 160) contributes nothing.
-  std::vector<core::RttSample> reference;
-  core::DartMonitor single(monitor_config(),
-                           [&reference](const core::RttSample& sample) {
-                             reference.push_back(sample);
-                           });
-  const std::span<const PacketRecord> packets(trace.packets());
-  single.process_all(packets.subspan(0, 128));
-  single.process_all(packets.subspan(160));
-  runtime::deterministic_order(reference);
+  std::vector<PacketRecord> kept(trace.packets().begin(),
+                                 trace.packets().begin() + 128);
+  kept.insert(kept.end(), trace.packets().begin() + 160,
+              trace.packets().end());
+  const std::vector<core::RttSample> reference =
+      test::single_monitor_reference(monitor_config(), kept).samples;
   EXPECT_EQ(samples, reference);
-  expect_same_histogram(hist, fold(reference));
+  test::expect_same_histogram(hist, test::fold(reference));
 }
 
 TEST(Recovery, KillAtBarrierLosesNothing) {
@@ -304,6 +288,52 @@ TEST(Recovery, NoCheckpointsMeansTheWholePrefixIsTheLossWindow) {
                 faulty.health.abandoned_packets +
                 faulty.health.lost_to_crash,
             n);
+}
+
+std::vector<core::RttSample> tcptrace_samples(
+    std::span<const PacketRecord> packets) {
+  std::vector<core::RttSample> samples;
+  baseline::TcpTrace tcptrace(
+      baseline::TcpTraceConfig{},
+      [&samples](const core::RttSample& sample) { samples.push_back(sample); });
+  tcptrace.process_all(packets);
+  return samples;
+}
+
+TEST(Recovery, MonitorWithoutCheckpointSupportRestartsFromEmptyState) {
+  // A baseline cannot snapshot: barriers commit its samples but cut no
+  // image, so the successor of the worker killed popping b6 starts empty
+  // and the whole processed prefix [0, 160) is lost — yet the samples
+  // committed at the M(128) barrier survive.
+  const trace::Trace trace = recovery_workload(12);
+  const std::uint64_t n = trace.packets().size();
+  runtime::FaultPlan plan;
+  plan.kill(/*shard=*/0, /*after_batches=*/5);
+  runtime::ShardedConfig config = recovery_config(&plan);
+  config.restart_budget = 1;
+  runtime::ShardedMonitor sharded(
+      config, [](std::uint32_t, core::SampleCallback on_sample) {
+        return runtime::make_basic_replay_monitor(baseline::TcpTrace(
+            baseline::TcpTraceConfig{}, std::move(on_sample)));
+      });
+  sharded.process_all(trace.packets());
+  sharded.finish();
+
+  const core::RuntimeHealth health = sharded.health();
+  EXPECT_EQ(sharded.checkpoints_cut(), 0U);
+  EXPECT_EQ(health.recovered, 1U);
+  EXPECT_EQ(health.lost_to_crash, 160U);
+  EXPECT_EQ(sharded.merged_stats().packets_processed + health.shed_packets +
+                health.abandoned_packets + health.lost_to_crash,
+            n);
+
+  const std::span<const PacketRecord> packets(trace.packets());
+  std::vector<core::RttSample> expected = tcptrace_samples(packets.first(128));
+  ASSERT_GT(expected.size(), 0U);
+  const std::vector<core::RttSample> successor =
+      tcptrace_samples(packets.subspan(160));
+  expected.insert(expected.end(), successor.begin(), successor.end());
+  EXPECT_EQ(sharded.shard_samples(0).samples(), expected);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 namespace dart {
@@ -33,50 +33,6 @@ core::DartConfig reference_config() {
   return config;
 }
 
-struct Reference {
-  std::vector<core::RttSample> samples;
-  core::DartStats stats;
-};
-
-Reference single_monitor_reference(const trace::Trace& trace,
-                                   const core::DartConfig& config) {
-  Reference ref;
-  core::DartMonitor dart(config, [&ref](const core::RttSample& sample) {
-    ref.samples.push_back(sample);
-  });
-  dart.process_all(trace.packets());
-  ref.stats = dart.stats();
-  runtime::deterministic_order(ref.samples);
-  return ref;
-}
-
-void expect_stats_equal(const core::DartStats& got,
-                        const core::DartStats& want) {
-  EXPECT_EQ(got.packets_processed, want.packets_processed);
-  EXPECT_EQ(got.seq_candidates, want.seq_candidates);
-  EXPECT_EQ(got.ack_candidates, want.ack_candidates);
-  EXPECT_EQ(got.syn_ignored, want.syn_ignored);
-  EXPECT_EQ(got.rt_new_flows, want.rt_new_flows);
-  EXPECT_EQ(got.rt_idle_timeouts, want.rt_idle_timeouts);
-  EXPECT_EQ(got.seq_tracked, want.seq_tracked);
-  EXPECT_EQ(got.seq_in_order, want.seq_in_order);
-  EXPECT_EQ(got.seq_hole_reanchors, want.seq_hole_reanchors);
-  EXPECT_EQ(got.seq_retransmissions, want.seq_retransmissions);
-  EXPECT_EQ(got.wraparound_resets, want.wraparound_resets);
-  EXPECT_EQ(got.ack_advances, want.ack_advances);
-  EXPECT_EQ(got.ack_duplicates, want.ack_duplicates);
-  EXPECT_EQ(got.ack_below_left, want.ack_below_left);
-  EXPECT_EQ(got.ack_optimistic, want.ack_optimistic);
-  EXPECT_EQ(got.ack_no_entry, want.ack_no_entry);
-  EXPECT_EQ(got.pt_inserted, want.pt_inserted);
-  EXPECT_EQ(got.pt_evictions, want.pt_evictions);
-  EXPECT_EQ(got.pt_lookup_hits, want.pt_lookup_hits);
-  EXPECT_EQ(got.pt_lookup_misses, want.pt_lookup_misses);
-  EXPECT_EQ(got.recirculations, want.recirculations);
-  EXPECT_EQ(got.dual_role_recirculations, want.dual_role_recirculations);
-  EXPECT_EQ(got.samples, want.samples);
-}
-
 class ShardedDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDeterminism,
                          ::testing::Values(101u, 2022u, 0xDA27u));
@@ -84,7 +40,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDeterminism,
 TEST_P(ShardedDeterminism, MergedRunEqualsSingleMonitorReference) {
   const trace::Trace trace = seeded_workload(GetParam());
   const core::DartConfig dart_config = reference_config();
-  const Reference ref = single_monitor_reference(trace, dart_config);
+  const test::ShardReference ref =
+      test::single_monitor_reference(dart_config, trace.packets());
   ASSERT_GT(ref.samples.size(), 0U) << "workload must produce samples";
 
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
@@ -97,7 +54,8 @@ TEST_P(ShardedDeterminism, MergedRunEqualsSingleMonitorReference) {
     const std::vector<core::RttSample> merged = sharded.merged_samples();
     EXPECT_EQ(merged, ref.samples)
         << "sample multiset diverged at " << shards << " shards";
-    expect_stats_equal(sharded.merged_stats(), ref.stats);
+    EXPECT_EQ(test::monitor_counters(sharded.merged_stats()), ref.stats)
+        << "merged stats diverged at " << shards << " shards";
   }
 }
 
@@ -161,8 +119,8 @@ TEST(ShardedEdge, TinyBatchesAndQueues) {
   // Pathological handoff geometry (batch of 1, 1-batch ring) must only be
   // slow, never wrong.
   const trace::Trace trace = seeded_workload(77);
-  const Reference ref =
-      single_monitor_reference(trace, reference_config());
+  const test::ShardReference ref =
+      test::single_monitor_reference(reference_config(), trace.packets());
 
   runtime::ShardedConfig config;
   config.shards = 3;  // non-power-of-two

@@ -7,13 +7,12 @@
 // interface via BasicReplayMonitor.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "baseline/strawman.hpp"
 #include "baseline/tcptrace.hpp"
 #include "common/random.hpp"
-#include "core/dart_monitor.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 namespace dart {
@@ -57,12 +56,8 @@ TEST_P(ShardedDifferential, UnboundedDartAgreesExactlyOnGarbage) {
   config.include_syn = true;
   config.leg = core::LegMode::kBoth;
 
-  std::vector<core::RttSample> reference;
-  core::DartMonitor dart(config, [&](const core::RttSample& sample) {
-    reference.push_back(sample);
-  });
-  dart.process_all(packets);
-  runtime::deterministic_order(reference);
+  const test::ShardReference reference =
+      test::single_monitor_reference(config, packets);
 
   for (std::uint32_t shards : {2u, 4u, 8u}) {
     runtime::ShardedConfig sharded_config;
@@ -71,17 +66,18 @@ TEST_P(ShardedDifferential, UnboundedDartAgreesExactlyOnGarbage) {
     sharded.process_all(packets);
     sharded.finish();
 
-    EXPECT_EQ(sharded.merged_stats().samples, dart.stats().samples);
-    EXPECT_EQ(sharded.merged_samples(), reference)
+    EXPECT_EQ(sharded.merged_stats().samples, reference.stats.samples);
+    EXPECT_EQ(sharded.merged_samples(), reference.samples)
         << "garbage-stream divergence at " << shards << " shards";
   }
 }
 
 TEST_P(ShardedDifferential, BoundedDartSurvivesAndKeepsInvariants) {
-  // Bounded tables: shards see different collision patterns, so exact
-  // equality is off the table — but every per-shard monitor must keep the
-  // same invariants the single-monitor fuzz test asserts, and every packet
-  // must be processed exactly once.
+  // Bounded tables: shards see different collision patterns, so equality
+  // with one monitor is off the table — but every per-shard monitor must
+  // keep the same invariants the single-monitor fuzz test asserts, every
+  // packet must be processed exactly once, and each shard must equal a
+  // monitor fed its partition alone.
   const auto packets = garbage(GetParam() ^ 0x5A5A, 40000);
 
   core::DartConfig config;
@@ -116,6 +112,7 @@ TEST_P(ShardedDifferential, BoundedDartSurvivesAndKeepsInvariants) {
     EXPECT_GT(sample.ack_ts, sample.seq_ts)
         << "RTT samples must be strictly positive";
   }
+  test::expect_matches_partitions(sharded, config, packets);
 }
 
 TEST_P(ShardedDifferential, ShardedBaselinesAgreeWithSingleInstance) {
@@ -153,19 +150,13 @@ TEST_P(ShardedDifferential, ShardedBaselinesAgreeWithSingleInstance) {
   // (routing, batching, threading) from monitor semantics.
   baseline::StrawmanConfig st_config;
   st_config.table_size = 1 << 10;  // force collisions
-  const runtime::ShardRouter router(sharded_config.shards,
-                                    sharded_config.route_seed);
-  std::vector<std::uint64_t> st_reference(sharded_config.shards, 0);
-  {
-    std::vector<std::unique_ptr<baseline::Strawman>> partitions;
-    for (std::uint32_t i = 0; i < sharded_config.shards; ++i) {
-      partitions.push_back(std::make_unique<baseline::Strawman>(
-          st_config,
-          [&st_reference, i](const core::RttSample&) { ++st_reference[i]; }));
-    }
-    for (const PacketRecord& packet : packets) {
-      partitions[router.route(packet.tuple)]->process(packet);
-    }
+  std::vector<std::uint64_t> st_reference;
+  for (const auto& part : test::partition(packets, sharded_config)) {
+    std::uint64_t count = 0;
+    baseline::Strawman strawman(
+        st_config, [&count](const core::RttSample&) { ++count; });
+    strawman.process_all(part);
+    st_reference.push_back(count);
   }
 
   runtime::ShardedMonitor sharded_st(

@@ -3,8 +3,9 @@
 // merged_histogram() sums those. The fold is order-independent and every
 // shard shares the default layout, so the merged histogram must equal one
 // folded from the retained, sorted sample stream — bins, count, min and
-// max — across shard counts, table regimes and worker modes. Turning
-// retention off must leave every log empty and the histogram unchanged.
+// max — across shard counts and table regimes, with every shard equal to
+// its partition's plain-DartMonitor reference. Turning retention off must
+// leave every log empty and the histogram unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 
 #include "analytics/histogram.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 namespace dart {
@@ -45,21 +47,6 @@ core::DartConfig bounded_config() {
   return config;
 }
 
-analytics::LogHistogram fold(const std::vector<core::RttSample>& samples) {
-  analytics::LogHistogram hist;
-  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
-  return hist;
-}
-
-void expect_same_histogram(const analytics::LogHistogram& got,
-                           const analytics::LogHistogram& want) {
-  EXPECT_TRUE(got.same_layout(want));
-  EXPECT_EQ(got.bins(), want.bins());
-  EXPECT_EQ(got.count(), want.count());
-  EXPECT_EQ(got.min(), want.min());
-  EXPECT_EQ(got.max(), want.max());
-}
-
 struct Case {
   const char* name;
   core::DartConfig dart;
@@ -71,36 +58,32 @@ TEST(ShardedHistogram, MergedHistogramEqualsFoldOfMergedSamples) {
                         {"bounded", bounded_config()}};
   for (const Case& c : cases) {
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      for (const bool batched : {false, true}) {
-        SCOPED_TRACE(c.name);
-        SCOPED_TRACE(shards);
-        SCOPED_TRACE(batched ? "batched" : "scalar");
-        runtime::ShardedConfig config;
-        config.shards = shards;
-        config.batched_workers = batched;
+      SCOPED_TRACE(c.name);
+      SCOPED_TRACE(shards);
+      runtime::ShardedConfig config;
+      config.shards = shards;
 
-        runtime::ShardedMonitor retained(config, c.dart);
-        retained.process_all(trace.packets());
-        retained.finish();
-        const std::vector<core::RttSample> samples =
-            retained.merged_samples();
-        ASSERT_GT(samples.size(), 0U);
-        const analytics::LogHistogram hist = retained.merged_histogram();
-        expect_same_histogram(hist, fold(samples));
-        EXPECT_EQ(hist.count(), retained.merged_stats().samples);
+      runtime::ShardedMonitor retained(config, c.dart);
+      retained.process_all(trace.packets());
+      retained.finish();
+      test::expect_matches_partitions(retained, c.dart, trace.packets());
+      const std::vector<core::RttSample> samples = retained.merged_samples();
+      ASSERT_GT(samples.size(), 0U);
+      const analytics::LogHistogram hist = retained.merged_histogram();
+      test::expect_same_histogram(hist, test::fold(samples));
+      EXPECT_EQ(hist.count(), retained.merged_stats().samples);
 
-        config.retain_samples = false;
-        runtime::ShardedMonitor binned(config, c.dart);
-        binned.process_all(trace.packets());
-        binned.finish();
-        for (std::uint32_t i = 0; i < binned.shards(); ++i) {
-          EXPECT_TRUE(binned.shard_samples(i).empty());
-        }
-        EXPECT_TRUE(binned.merged_samples().empty());
-        expect_same_histogram(binned.merged_histogram(), hist);
-        EXPECT_EQ(binned.merged_stats().samples,
-                  retained.merged_stats().samples);
+      config.retain_samples = false;
+      runtime::ShardedMonitor binned(config, c.dart);
+      binned.process_all(trace.packets());
+      binned.finish();
+      for (std::uint32_t i = 0; i < binned.shards(); ++i) {
+        EXPECT_TRUE(binned.shard_samples(i).empty());
       }
+      EXPECT_TRUE(binned.merged_samples().empty());
+      test::expect_same_histogram(binned.merged_histogram(), hist);
+      EXPECT_EQ(binned.merged_stats().samples,
+                retained.merged_stats().samples);
     }
   }
 }
@@ -131,7 +114,7 @@ TEST(ShardedHistogram, CheckpointedRunBinsWithoutRetainingSamples) {
     }
     const analytics::LogHistogram hist = checkpointed.merged_histogram();
     ASSERT_GT(hist.count(), 0U);
-    expect_same_histogram(hist, plain.merged_histogram());
+    test::expect_same_histogram(hist, plain.merged_histogram());
     EXPECT_EQ(hist.count(), checkpointed.merged_stats().samples);
   }
 }

@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
+#include "sharded_reference.hpp"
 #include "runtime/checkpoint_coordinator.hpp"
 
 namespace dart {
@@ -44,14 +44,8 @@ runtime::ShardedConfig supervisor_config() {
 }
 
 std::vector<core::RttSample> reference_samples(const trace::Trace& trace) {
-  std::vector<core::RttSample> samples;
-  core::DartMonitor single(monitor_config(),
-                           [&samples](const core::RttSample& sample) {
-                             samples.push_back(sample);
-                           });
-  single.process_all(trace.packets());
-  runtime::deterministic_order(samples);
-  return samples;
+  return test::single_monitor_reference(monitor_config(), trace.packets())
+      .samples;
 }
 
 TEST(Supervisor, CleanRunMatchesSingleMonitor) {

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,9 +114,11 @@ TEST(RuntimeTelemetry, ShardedMonitorExportsTheIdentity) {
 // governor's ladder counters lighting up.
 class SlowMonitor : public runtime::ReplayMonitor {
  public:
-  void process(const PacketRecord&) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(40));
-    ++processed_;
+  void process_batch(std::span<const PacketRecord> packets) override {
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(40));
+    }
+    processed_ += packets.size();
   }
   core::DartStats stats() const override {
     core::DartStats stats;
