@@ -38,14 +38,4 @@ inline void prefetch_near(const void* addr) noexcept {
 #endif
 }
 
-/// Hint that `addr` will be written soon — the single-distance variant for
-/// callers outside the two-level batched sweep.
-inline void prefetch_for_write(const void* addr) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr, 1, 2);
-#else
-  (void)addr;
-#endif
-}
-
 }  // namespace dart

@@ -82,19 +82,6 @@ class PacketTracker {
   std::optional<Record> lookup_erase(std::uint32_t flow_sig, SeqNum eack,
                                      const std::uint32_t* idx = nullptr);
 
-  /// Pull every stage's candidate slot for (flow_sig, eack) into cache
-  /// ahead of the insert/lookup probes — the batched hot path issues this a
-  /// fixed distance before the packet is processed. No-op in unbounded
-  /// mode (map nodes have no precomputable address).
-  void prefetch(std::uint32_t flow_sig, SeqNum eack) const {
-    if (!bounded_) return;
-    const std::uint64_t key = (std::uint64_t{flow_sig} << 32) | eack;
-    for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
-      prefetch_for_write(
-          &stages_[stage][index(key, static_cast<std::uint32_t>(stage))]);
-    }
-  }
-
   /// Batched hash precomputation: fill `idx[0..stage_count())` with the
   /// candidate slot per stage for (flow_sig, eack) and start pulling the
   /// rows a probe with that access pattern will touch toward L2. The

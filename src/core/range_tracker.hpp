@@ -118,13 +118,6 @@ class RangeTracker {
     return bounded_ ? hash_(tuple_hash, 0) % slots_.size() : tuple_hash;
   }
 
-  /// Pull the slot `tuple_hash` maps to into cache ahead of its probe.
-  /// No-op in unbounded mode: the map node's address is unknowable before
-  /// the find (and the unbounded baseline is not the performance target).
-  void prefetch(std::uint64_t tuple_hash) const {
-    if (bounded_) prefetch_for_write(&slots_[ref_of_hashed(tuple_hash)]);
-  }
-
   /// Two-level prefetch from an already-computed ref_of_hashed() value —
   /// the batched path's forms, which cost no hash work: _far starts the
   /// DRAM fetch toward L2 many packets ahead, _near promotes the slot to

@@ -2,13 +2,10 @@
 
 #include <utility>
 
+#include "runtime/fault_injection.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-
-#if defined(DART_FAULT_INJECTION)
-#include "runtime/fault_injection.hpp"
-#endif
 
 namespace dart::fleet {
 
@@ -104,7 +101,6 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
   if (killed_) return false;
   frame.header.sequence = next_sequence_;
 
-#if defined(DART_FAULT_INJECTION)
   if (faults_ != nullptr) {
     if (faults_->exporter_before_publish(frames_published_) ==
         runtime::FaultPlan::Action::kExit) {
@@ -123,12 +119,10 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
       frame.header.epoch = skewed;
     }
   }
-#endif
 
   const std::uint64_t sequence = next_sequence_++;
   std::vector<std::uint8_t> bytes = encode_frame(frame);
 
-#if defined(DART_FAULT_INJECTION)
   if (faults_ != nullptr) {
     std::uint64_t keep_bytes = 0;
     if (faults_->exporter_truncate_bytes(sequence, &keep_bytes)) {
@@ -146,7 +140,6 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
       return true;
     }
   }
-#endif
 
   if (!deliver(std::move(bytes), sequence)) {
     killed_ = true;
@@ -169,7 +162,6 @@ bool VantageExporter::deliver(std::vector<std::uint8_t> bytes,
   if (!sink_.publish(config_.vantage, publish_index_++, bytes)) {
     return false;
   }
-#if defined(DART_FAULT_INJECTION)
   if (faults_ != nullptr && faults_->exporter_duplicate_frame(sequence)) {
     // Duplicate delivery occupies its own publish slot; the collector must
     // quarantine the second copy by sequence number, not crash.
@@ -177,9 +169,6 @@ bool VantageExporter::deliver(std::vector<std::uint8_t> bytes,
       return false;
     }
   }
-#else
-  (void)sequence;
-#endif
   return true;
 }
 

@@ -13,9 +13,9 @@
 // epoch-aligned state without any clock agreement. All counters in a frame
 // are cumulative: losing any non-final frame loses no accounting.
 //
-// Under DART_FAULT_INJECTION the exporter consults the process's FaultPlan
-// before every publish, which is where the chaos harness injects crashes
-// (kill), latency (stall), torn frames (truncate), duplicate delivery, and
+// With a FaultPlan installed the exporter consults it before every
+// publish, which is where the chaos harness injects crashes (kill),
+// latency (stall), torn frames (truncate), duplicate delivery, and
 // reordering — all downstream of sealing, exactly as a sick transport
 // would mangle a correct sender.
 #pragma once
@@ -49,11 +49,9 @@ class VantageExporter {
  public:
   VantageExporter(VantageExporterConfig config, SnapshotSink& sink);
 
-#if defined(DART_FAULT_INJECTION)
   /// Install the process's fault plan (exporter-side faults only). The
   /// plan must outlive the exporter.
   void set_fault_plan(runtime::FaultPlan* plan) { faults_ = plan; }
-#endif
 
   /// Frame 0. Must be the first publication.
   bool publish_manifest();
@@ -101,9 +99,7 @@ class VantageExporter {
     std::uint64_t sequence = 0;
   };
   std::optional<HeldFrame> held_;
-#if defined(DART_FAULT_INJECTION)
   runtime::FaultPlan* faults_ = nullptr;
-#endif
 };
 
 /// Render the deterministic telemetry text a state frame embeds: a fresh

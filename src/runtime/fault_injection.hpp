@@ -19,10 +19,9 @@
 //
 // The hook is invoked by ShardedMonitor's worker loop at *batch*
 // granularity only — once per popped batch, before it is processed — and
-// only when the translation units are compiled with
-// -DDART_FAULT_INJECTION=1 (cmake option DART_FAULT_INJECTION). In a
-// release build the hook site compiles out entirely: the per-packet path is
-// identical with and without the harness.
+// only when ShardedConfig::faults is set. Every build compiles the hooks;
+// with no plan the per-packet path is untouched and each batch pays one
+// null check.
 //
 // Thread-safety: plans must be fully built before workers start. Each
 // shard's mutable hook state is touched only by that shard's worker; the

@@ -14,12 +14,15 @@
 //   2. backoff — exponential sleeps from `backoff_initial_ns` doubling to
 //                `backoff_max_ns`, releasing the core while the worker
 //                catches up;
-//   3. shed    — once the accumulated backoff reaches `shed_deadline_ns`,
-//                give up on this batch. The runtime drops it and accounts
-//                it in RuntimeHealth (shed_batches / shed_packets).
+//   3. shed    — once `shed_deadline_ns` of wall time has passed since the
+//                backoff phase began, give up on this batch. The runtime
+//                drops it and accounts it in RuntimeHealth (shed_batches /
+//                shed_packets).
 //
-// The decision sequence is a pure function of the attempt count and the
-// requested sleep total — no wall clock — so the escalation path itself is
+// The governor reads no clock itself: the caller measures the time spent
+// backing off (sleep_for overshoots, so the requested sleeps undercount
+// it) and passes it to next(). The decision sequence is a pure function of
+// the attempt count and that elapsed time, so the escalation path is
 // deterministic and unit-testable without threads.
 #pragma once
 
@@ -38,16 +41,12 @@ struct OverloadPolicy {
   /// Backoff ceiling per sleep.
   std::uint64_t backoff_max_ns = 1'000'000;  // 1 ms
 
-  /// Total backoff (sum of sleeps) after which the batch is shed. A worker
+  /// Wall time spent backing off after which the batch is shed. A worker
   /// that makes *any* progress within this window is never shed; only one
   /// that stays wedged for the whole deadline loses the batch. 0 sheds on
-  /// the first post-spin attempt.
+  /// the first post-spin attempt; UINT64_MAX never sheds (a permanently
+  /// wedged worker then stalls the pipeline).
   std::uint64_t shed_deadline_ns = 2'000'000'000;  // 2 s
-
-  /// When false the router waits forever (the pre-shedding behavior); a
-  /// permanently wedged worker then stalls the pipeline, so this is only
-  /// for runs where losing coverage is worse than losing liveness.
-  bool shed_enabled = true;
 };
 
 enum class OverloadAction : std::uint8_t { kSpin, kSleep, kShed };
@@ -64,33 +63,31 @@ class OverloadGovernor {
   explicit OverloadGovernor(const OverloadPolicy& policy)
       : policy_(policy), backoff_ns_(policy.backoff_initial_ns) {}
 
-  OverloadDecision next() {
-    if (attempts_ < policy_.spin_budget) {
+  /// True while next() still answers kSpin: the caller need not read a
+  /// clock until this turns false.
+  bool spinning() const { return attempts_ < policy_.spin_budget; }
+
+  /// `elapsed_ns` is the wall time since the first post-spin call (ignored
+  /// while spinning).
+  OverloadDecision next(std::uint64_t elapsed_ns) {
+    if (spinning()) {
       ++attempts_;
       return {OverloadAction::kSpin, 0};
     }
-    if (policy_.shed_enabled && waited_ns_ >= policy_.shed_deadline_ns) {
+    if (elapsed_ns >= policy_.shed_deadline_ns) {
       return {OverloadAction::kShed, 0};
     }
-    std::uint64_t sleep = std::max<std::uint64_t>(backoff_ns_, 1);
-    if (policy_.shed_enabled) {
-      // Never request more sleep than the deadline has left, so the last
-      // sleep lands exactly on the shed decision instead of past it.
-      sleep = std::min(sleep, policy_.shed_deadline_ns - waited_ns_);
-      sleep = std::max<std::uint64_t>(sleep, 1);
-    }
-    waited_ns_ += sleep;
+    // Never request more sleep than the deadline has left, so the last
+    // sleep lands on the shed decision instead of past it.
+    const std::uint64_t sleep = std::max<std::uint64_t>(
+        std::min(backoff_ns_, policy_.shed_deadline_ns - elapsed_ns), 1);
     backoff_ns_ = std::min(backoff_ns_ * 2, policy_.backoff_max_ns);
     return {OverloadAction::kSleep, sleep};
   }
 
-  /// Total sleep requested so far (the deadline clock).
-  std::uint64_t waited_ns() const { return waited_ns_; }
-
  private:
   OverloadPolicy policy_;
   std::uint32_t attempts_ = 0;
-  std::uint64_t waited_ns_ = 0;
   std::uint64_t backoff_ns_ = 0;
 };
 

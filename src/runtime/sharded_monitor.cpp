@@ -7,10 +7,7 @@
 
 #include "core/config_check.hpp"
 #include "runtime/epoch_math.hpp"
-
-#if defined(DART_FAULT_INJECTION)
 #include "runtime/fault_injection.hpp"
-#endif
 
 #if defined(DART_TELEMETRY)
 #include "telemetry/runtime_metrics.hpp"
@@ -67,9 +64,7 @@ std::uint64_t ShardedMonitor::incarnate(Shard& shard, std::uint64_t base,
   inc->id = coordinator_->begin_incarnation(shard.index);
   inc->base_cursor = base;
   inc->coordinator = coordinator_;
-#if defined(DART_FAULT_INJECTION)
   inc->faults = config_.faults;
-#endif
 #if defined(DART_TELEMETRY)
   inc->metrics = config_.telemetry;
 #endif
@@ -153,9 +148,7 @@ void ShardedMonitor::commit(Incarnation& inc, const Work* marker) {
 
 void ShardedMonitor::worker_loop(Incarnation& inc) {
   Work work;
-#if defined(DART_FAULT_INJECTION)
   std::uint64_t batches_done = 0;
-#endif
   bool done_seen = false;
   for (;;) {
     if (inc.queue.try_pop(work)) {
@@ -163,7 +156,6 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         commit(inc, &work);
         continue;
       }
-#if defined(DART_FAULT_INJECTION)
       // The one hook site. A kill parks the popped-but-unprocessed batch
       // for a successor: it loses only processed-uncommitted state, never
       // in-flight input — so a kill landing on a barrier loses nothing.
@@ -174,7 +166,6 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         inc.dead.store(true, std::memory_order_release);
         break;
       }
-#endif
 #if defined(DART_TELEMETRY)
       const auto batch_start = inc.metrics != nullptr
                                    ? std::chrono::steady_clock::now()
@@ -195,9 +186,7 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         inc.metrics->worker_packets->at(inc.shard).inc(work.batch.size());
       }
 #endif
-#if defined(DART_FAULT_INJECTION)
       ++batches_done;
-#endif
       work.batch.clear();
       continue;
     }
@@ -316,6 +305,7 @@ bool ShardedMonitor::wedged(Shard& shard, const Incarnation& inc) {
 void ShardedMonitor::deliver(Shard& shard, Work&& work) {
   const std::uint64_t packets = work.batch.size();
   OverloadGovernor governor(config_.overload);
+  std::uint64_t backoff_start_ns = 0;  // set on the first post-spin retry
   bool contended = false;
 #if defined(DART_TELEMETRY)
   telemetry::RuntimeMetrics* const tm = config_.telemetry;
@@ -343,7 +333,13 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
       abandon(shard, /*allow_successor=*/true);
       continue;
     }
-    const OverloadDecision decision = governor.next();
+    std::uint64_t elapsed_ns = 0;
+    if (!governor.spinning()) {
+      const std::uint64_t now = now_ns();
+      if (backoff_start_ns == 0) backoff_start_ns = now;
+      elapsed_ns = now - backoff_start_ns;
+    }
+    const OverloadDecision decision = governor.next(elapsed_ns);
     if (decision.action == OverloadAction::kShed) {
 #if defined(DART_TELEMETRY)
       if (tm != nullptr) tm->governor_sheds->at(shard.index).inc();

@@ -92,9 +92,7 @@ struct RuntimeMetrics;
 
 namespace dart::runtime {
 
-#if defined(DART_FAULT_INJECTION)
 class FaultPlan;
-#endif
 
 struct ShardedConfig {
   /// Number of worker threads / monitor partitions (>= 1).
@@ -153,12 +151,10 @@ struct ShardedConfig {
   /// forever.
   std::uint64_t join_timeout_ns = 30'000'000'000ULL;  // 30 s
 
-#if defined(DART_FAULT_INJECTION)
   /// Fault-injection hooks for the chaos suites; must outlive the monitor
-  /// (or at least every worker). Only exists in DART_FAULT_INJECTION
-  /// builds — the release worker loop contains no hook sites at all.
+  /// (or at least every worker). nullptr (the default) skips the one
+  /// per-batch hook site.
   FaultPlan* faults = nullptr;
-#endif
 
 #if defined(DART_TELEMETRY)
   /// Standard metric families to instrument; must outlive every worker.
@@ -301,9 +297,7 @@ class ShardedMonitor {
     std::atomic<bool> input_done{false};
     std::atomic<bool> dead{false};    ///< exited early (kill fault)
     std::atomic<bool> exited{false};  ///< worker loop finished (all paths)
-#if defined(DART_FAULT_INJECTION)
     FaultPlan* faults = nullptr;
-#endif
 #if defined(DART_TELEMETRY)
     telemetry::RuntimeMetrics* metrics = nullptr;  ///< worker-read, may be null
 #endif

@@ -11,12 +11,12 @@
 // damage hiding behind a valid CRC is still caught. Exit codes: 0 valid,
 // 1 damaged, 2 usage error.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dart_monitor.hpp"
 #include "core/flow_filter.hpp"
@@ -219,9 +219,7 @@ int cmd_make_demo(const std::string& path,
         std::cerr << "error: --truncate needs a value\n";
         return 2;
       }
-      try {
-        truncate_to = static_cast<std::size_t>(std::stoull(options[++i]));
-      } catch (...) {
+      if (!dart::parse_number(options[++i], truncate_to)) {
         std::cerr << "error: bad --truncate value\n";
         return 2;
       }

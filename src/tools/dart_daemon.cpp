@@ -36,6 +36,7 @@
 #include <string>
 #include <thread>
 
+#include "common/parse_number.hpp"
 #include "daemon/epoch_runner.hpp"
 #include "daemon/query_server.hpp"
 #include "daemon/replay_source.hpp"
@@ -76,8 +77,9 @@ void print_usage(std::ostream& out) {
          "    --final-out FILE            write the final report (atomic)\n";
 }
 
-std::uint64_t parse_u64(const char* text) {
-  return static_cast<std::uint64_t>(std::strtoull(text, nullptr, 10));
+int usage_error() {
+  print_usage(std::cerr);
+  return 2;
 }
 
 std::string render_status(const dart::daemon::DaemonStatus& status) {
@@ -258,10 +260,7 @@ int run_daemon(const RunOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    print_usage(std::cerr);
-    return 2;
-  }
+  if (argc < 2) return usage_error();
   const std::string command = argv[1];
 
   if (command == "gen") {
@@ -272,22 +271,18 @@ int main(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--seed" && i + 1 < argc) {
-        seed = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], seed)) return usage_error();
       } else if (arg == "--connections" && i + 1 < argc) {
-        connections = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], connections)) return usage_error();
       } else if (arg == "--duration-s" && i + 1 < argc) {
-        duration_s = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], duration_s)) return usage_error();
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else {
-        print_usage(std::cerr);
-        return 2;
+        return usage_error();
       }
     }
-    if (out_path.empty()) {
-      print_usage(std::cerr);
-      return 2;
-    }
+    if (out_path.empty()) return usage_error();
     return run_gen(seed, connections, duration_s, out_path);
   }
 
@@ -301,20 +296,18 @@ int main(int argc, char** argv) {
       if (arg == "--trace" && i + 1 < argc) {
         trace_path = argv[++i];
       } else if (arg == "--shards" && i + 1 < argc) {
-        shards = static_cast<std::uint32_t>(parse_u64(argv[++i]));
+        if (!dart::parse_number(argv[++i], shards)) return usage_error();
       } else if (arg == "--epoch-interval" && i + 1 < argc) {
-        epoch_interval = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], epoch_interval)) {
+          return usage_error();
+        }
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else {
-        print_usage(std::cerr);
-        return 2;
+        return usage_error();
       }
     }
-    if (trace_path.empty()) {
-      print_usage(std::cerr);
-      return 2;
-    }
+    if (trace_path.empty()) return usage_error();
     return run_replay(trace_path, shards, epoch_interval, out_path);
   }
 
@@ -330,30 +323,35 @@ int main(int argc, char** argv) {
         options.rate = std::strtod(argv[++i], nullptr);
       } else if (arg == "--listen" && i + 1 < argc) {
         options.listen = true;
-        options.listen_port = static_cast<std::uint16_t>(parse_u64(argv[++i]));
+        if (!dart::parse_number(argv[++i], options.listen_port)) {
+          return usage_error();
+        }
         have_source = true;
       } else if (arg == "--shards" && i + 1 < argc) {
-        options.shards = static_cast<std::uint32_t>(parse_u64(argv[++i]));
+        if (!dart::parse_number(argv[++i], options.shards)) {
+          return usage_error();
+        }
       } else if (arg == "--epoch-interval" && i + 1 < argc) {
-        options.epoch_interval = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], options.epoch_interval)) {
+          return usage_error();
+        }
       } else if (arg == "--port" && i + 1 < argc) {
-        options.query_port = static_cast<std::uint16_t>(parse_u64(argv[++i]));
+        if (!dart::parse_number(argv[++i], options.query_port)) {
+          return usage_error();
+        }
       } else if (arg == "--port-file" && i + 1 < argc) {
         options.port_file = argv[++i];
       } else if (arg == "--final-out" && i + 1 < argc) {
         options.final_out = argv[++i];
       } else {
-        print_usage(std::cerr);
-        return 2;
+        return usage_error();
       }
     }
     if (!have_source || (options.listen && !options.trace_path.empty())) {
-      print_usage(std::cerr);
-      return 2;
+      return usage_error();
     }
     return run_daemon(options);
   }
 
-  print_usage(std::cerr);
-  return 2;
+  return usage_error();
 }

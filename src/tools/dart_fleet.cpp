@@ -15,7 +15,7 @@
 //       run a whole fleet in-process (serially) against a spool directory
 //       and collect it — the ctest surface.
 //
-// Exporter fault flags (--fault-*) require a DART_FAULT_INJECTION build;
+// Exporter fault flags (--fault-*) install a FaultPlan on the exporter;
 // in `vantage` mode a kill fault terminates the process with exit code 3
 // so drivers can assert the crash actually happened. Exit codes: 0 ok,
 // 1 check failure / collection error, 2 usage error, 3 killed by fault.
@@ -29,18 +29,16 @@
 #include <vector>
 
 #include "analytics/histogram.hpp"
+#include "common/parse_number.hpp"
 #include "core/dart_monitor.hpp"
 #include "fleet/collector.hpp"
 #include "fleet/snapshot_sink.hpp"
 #include "fleet/vantage_exporter.hpp"
 #include "gen/workload.hpp"
+#include "runtime/fault_injection.hpp"
 #include "runtime/shard_router.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
-
-#if defined(DART_FAULT_INJECTION)
-#include "runtime/fault_injection.hpp"
-#endif
 
 namespace {
 
@@ -112,24 +110,6 @@ void print_usage(std::ostream& out) {
          "    (fault flags as for vantage)\n";
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_i64(const std::string& text, std::int64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 struct FaultOptions {
   bool any = false;
   std::uint64_t kill_after = ~std::uint64_t{0};
@@ -175,16 +155,16 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
     return parts;
   };
   if (arg == "--fault-kill-after") {
-    if (!has_value || !parse_u64(value, &faults->kill_after)) return -1;
+    if (!has_value || !dart::parse_number(value, faults->kill_after)) return -1;
     faults->any = true;
     return 1;
   }
   if (arg == "--fault-stall") {
     const auto parts = split(value, ':');
     if (!has_value || parts.size() != 3 ||
-        !parse_u64(parts[0], &faults->stall_first) ||
-        !parse_u64(parts[1], &faults->stall_count) ||
-        !parse_u64(parts[2], &faults->stall_ms)) {
+        !dart::parse_number(parts[0], faults->stall_first) ||
+        !dart::parse_number(parts[1], faults->stall_count) ||
+        !dart::parse_number(parts[2], faults->stall_ms)) {
       return -1;
     }
     faults->has_stall = true;
@@ -196,8 +176,8 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
     std::uint64_t seq = 0;
     std::uint64_t keep = 40;
     if (!has_value || parts.empty() || parts.size() > 2 ||
-        !parse_u64(parts[0], &seq) ||
-        (parts.size() == 2 && !parse_u64(parts[1], &keep))) {
+        !dart::parse_number(parts[0], seq) ||
+        (parts.size() == 2 && !dart::parse_number(parts[1], keep))) {
       return -1;
     }
     faults->truncate.emplace_back(seq, keep);
@@ -206,7 +186,7 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   }
   if (arg == "--fault-duplicate" || arg == "--fault-reorder") {
     std::uint64_t seq = 0;
-    if (!has_value || !parse_u64(value, &seq)) return -1;
+    if (!has_value || !dart::parse_number(value, seq)) return -1;
     (arg == "--fault-duplicate" ? faults->duplicate : faults->reorder)
         .push_back(seq);
     faults->any = true;
@@ -214,7 +194,7 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   }
   if (arg == "--fault-skew-offset" || arg == "--fault-skew-drift") {
     std::int64_t amount = 0;
-    if (!has_value || !parse_i64(value, &amount)) return -1;
+    if (!has_value || !dart::parse_number(value, amount)) return -1;
     (arg == "--fault-skew-offset" ? faults->skew_offset
                                   : faults->skew_drift) = amount;
     faults->has_skew = true;
@@ -222,7 +202,7 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
     return 1;
   }
   if (arg == "--fault-epoch-lag") {
-    if (!has_value || !parse_u64(value, &faults->epoch_lag)) return -1;
+    if (!has_value || !dart::parse_number(value, faults->epoch_lag)) return -1;
     faults->has_skew = true;
     faults->any = true;
     return 1;
@@ -230,7 +210,6 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   return 0;
 }
 
-#if defined(DART_FAULT_INJECTION)
 void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
   if (options.kill_after != ~std::uint64_t{0}) {
     plan.exporter_kill(options.kill_after);
@@ -251,7 +230,6 @@ void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
                              options.epoch_lag);
   }
 }
-#endif
 
 /// Vantage I's deterministic slice: the packets of the full fixed-seed
 /// campus trace whose canonical 4-tuple routes to I out of M — the same
@@ -366,19 +344,11 @@ int run_vantage(const VantageOptions& options,
   config.epoch_interval = interval;
   dart::fleet::VantageExporter exporter(config, sink);
 
-#if defined(DART_FAULT_INJECTION)
   dart::runtime::FaultPlan plan(options.seed);
   if (options.faults.any) {
     apply_faults(options.faults, plan);
     exporter.set_fault_plan(&plan);
   }
-#else
-  if (options.faults.any) {
-    std::cerr << "dart-fleet: --fault-* flags require a "
-                 "DART_FAULT_INJECTION build\n";
-    return kExitUsage;
-  }
-#endif
 
   exporter.publish_manifest();
   if (exporter.killed()) return kExitKilled;
@@ -489,13 +459,6 @@ int cmd_demo(const DemoOptions& options) {
     std::cerr << "dart-fleet demo: need --dir and --vantages > 0\n";
     return kExitUsage;
   }
-#if !defined(DART_FAULT_INJECTION)
-  if (options.faults.any) {
-    std::cerr << "dart-fleet: --fault-* flags require a "
-                 "DART_FAULT_INJECTION build\n";
-    return kExitUsage;
-  }
-#endif
   dart::fleet::SpoolSink sink(options.dir);
   for (std::uint64_t id = 0; id < options.vantages; ++id) {
     VantageOptions vantage;
@@ -566,7 +529,7 @@ int main(int argc, char** argv) {
       else if (arg == "--shards") number = &options.shards;
       else if (arg == "--incarnation") number = &options.incarnation;
       if (number != nullptr) {
-        if (!has_value(i) || !parse_u64(args[++i], number)) {
+        if (!has_value(i) || !dart::parse_number(args[++i], *number)) {
           std::cerr << "dart-fleet vantage: bad value for " << arg << "\n";
           return kExitUsage;
         }
@@ -603,7 +566,7 @@ int main(int argc, char** argv) {
       else if (arg == "--poll-base-ms") number = &poll_base_ms;
       else if (arg == "--poll-max-ms") number = &poll_max_ms;
       if (number != nullptr) {
-        if (!has_value(i) || !parse_u64(args[++i], number)) {
+        if (!has_value(i) || !dart::parse_number(args[++i], *number)) {
           std::cerr << "dart-fleet collect: bad value for " << arg << "\n";
           return kExitUsage;
         }
@@ -664,7 +627,7 @@ int main(int argc, char** argv) {
       else if (arg == "--fault-vantage") number = &options.fault_vantage;
       else if (arg == "--skew-grace") number = &options.skew_grace;
       if (number != nullptr) {
-        if (!has_value(i) || !parse_u64(args[++i], number)) {
+        if (!has_value(i) || !dart::parse_number(args[++i], *number)) {
           std::cerr << "dart-fleet demo: bad value for " << arg << "\n";
           return kExitUsage;
         }

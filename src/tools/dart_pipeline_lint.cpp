@@ -8,11 +8,11 @@
 //   dart-pipeline-lint --target tofino1 --pt-stages 4   # rejected: stages
 //   dart-pipeline-lint --target tofino1 --pt-stages 4 --split   # feasible
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "dataplane/resource_model.hpp"
 #include "dataplane/verify/checker.hpp"
 #include "dataplane/verify/pipeline_program.hpp"
@@ -74,26 +74,6 @@ void print_rules(std::ostream& out) {
   }
 }
 
-bool parse_u32(const std::string& text, std::uint32_t& out) {
-  try {
-    const unsigned long long value = std::stoull(text);
-    if (value > 0xFFFFFFFFull) return false;
-    out = static_cast<std::uint32_t>(value);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    out = std::stoull(text);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -115,6 +95,12 @@ int main(int argc, char** argv) {
       return true;
     };
     std::string v;
+    auto number = [&](auto& out) -> bool {
+      if (!value(v)) return false;
+      if (dart::parse_number(v, out)) return true;
+      std::cerr << "error: bad " << arg << " value '" << v << "'\n";
+      return false;
+    };
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       return 0;
@@ -146,21 +132,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--rt-slots") {
-      std::uint64_t n = 0;
-      if (!value(v) || !parse_u64(v, n)) return 2;
-      layout.rt_slots = static_cast<std::size_t>(n);
+      if (!number(layout.rt_slots)) return 2;
     } else if (arg == "--pt-slots") {
-      std::uint64_t n = 0;
-      if (!value(v) || !parse_u64(v, n)) return 2;
-      layout.pt_slots = static_cast<std::size_t>(n);
+      if (!number(layout.pt_slots)) return 2;
     } else if (arg == "--pt-stages") {
-      if (!value(v) || !parse_u32(v, shape.pt_stages)) return 2;
+      if (!number(shape.pt_stages)) return 2;
     } else if (arg == "--recirc") {
-      if (!value(v) || !parse_u32(v, shape.max_recirculations)) return 2;
+      if (!number(shape.max_recirculations)) return 2;
     } else if (arg == "--flow-rules") {
-      if (!value(v) || !parse_u32(v, layout.flow_filter_rules)) return 2;
+      if (!number(layout.flow_filter_rules)) return 2;
     } else if (arg == "--register-bits") {
-      if (!value(v) || !parse_u32(v, shape.register_bits)) return 2;
+      if (!number(shape.register_bits)) return 2;
     } else if (arg == "--extra-table") {
       if (!value(v)) return 2;
       extra_tables.push_back(v);

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -29,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/snapshot_watch.hpp"
@@ -57,6 +57,11 @@ void print_usage(std::ostream& out) {
          "    --json FILE                 also write the JSON snapshot\n"
          "    --deterministic             export the deterministic tier only\n"
          "    --check                     verify the accounting identity\n";
+}
+
+int usage_error() {
+  print_usage(std::cerr);
+  return 2;
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -278,24 +283,14 @@ int run_demo(std::uint32_t shards, std::uint64_t seed,
 }
 #endif
 
-std::uint64_t parse_u64(const char* text) {
-  return static_cast<std::uint64_t>(std::strtoull(text, nullptr, 10));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    print_usage(std::cerr);
-    return 2;
-  }
+  if (argc < 2) return usage_error();
   const std::string command = argv[1];
 
   if (command == "render") {
-    if (argc < 3) {
-      print_usage(std::cerr);
-      return 2;
-    }
+    if (argc < 3) return usage_error();
     bool check = false;
     for (int i = 3; i < argc; ++i) {
       if (std::string(argv[i]) == "--check") check = true;
@@ -304,21 +299,17 @@ int main(int argc, char** argv) {
   }
 
   if (command == "watch") {
-    if (argc < 3) {
-      print_usage(std::cerr);
-      return 2;
-    }
+    if (argc < 3) return usage_error();
     std::uint64_t interval_ms = 1000;
     std::uint64_t iterations = 0;
     for (int i = 3; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--interval-ms" && i + 1 < argc) {
-        interval_ms = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], interval_ms)) return usage_error();
       } else if (arg == "--iterations" && i + 1 < argc) {
-        iterations = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], iterations)) return usage_error();
       } else {
-        print_usage(std::cerr);
-        return 2;
+        return usage_error();
       }
     }
     return run_watch(argv[2], interval_ms == 0 ? 1 : interval_ms,
@@ -336,9 +327,9 @@ int main(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--shards" && i + 1 < argc) {
-        shards = static_cast<std::uint32_t>(parse_u64(argv[++i]));
+        if (!dart::parse_number(argv[++i], shards)) return usage_error();
       } else if (arg == "--seed" && i + 1 < argc) {
-        seed = parse_u64(argv[++i]);
+        if (!dart::parse_number(argv[++i], seed)) return usage_error();
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else if (arg == "--json" && i + 1 < argc) {
@@ -348,8 +339,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--check") {
         check = true;
       } else {
-        print_usage(std::cerr);
-        return 2;
+        return usage_error();
       }
     }
     return run_demo(shards == 0 ? 1 : shards, seed, out_path, json_path,
@@ -360,6 +350,5 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  print_usage(std::cerr);
-  return 2;
+  return usage_error();
 }

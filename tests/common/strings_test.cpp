@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/parse_number.hpp"
+
 namespace dart {
 namespace {
 
@@ -39,6 +43,36 @@ TEST(TextTable, PadsShortRows) {
   table.add_row({"only"});
   const std::string out = table.render();
   EXPECT_NE(out.find("| only |"), std::string::npos);
+}
+
+TEST(ParseNumber, AcceptsWholeDecimalsUpToTheTypeMaximum) {
+  std::uint16_t port = 7;
+  EXPECT_TRUE(parse_number("65535", port));
+  EXPECT_EQ(port, 65535);
+  std::uint64_t big = 0;
+  EXPECT_TRUE(parse_number("18446744073709551615", big));
+  EXPECT_EQ(big, UINT64_MAX);
+  std::int64_t offset = 0;
+  EXPECT_TRUE(parse_number("-9", offset));
+  EXPECT_EQ(offset, -9);
+}
+
+TEST(ParseNumber, RejectsWhatStrtoullWouldSilentlyAccept) {
+  std::uint16_t port = 7;
+  EXPECT_FALSE(parse_number("70000", port));  // would wrap to 4464
+  std::uint32_t shards = 3;
+  EXPECT_FALSE(parse_number("abc", shards));  // would become 0
+  EXPECT_FALSE(parse_number("", shards));
+  EXPECT_FALSE(parse_number("12abc", shards));
+  EXPECT_FALSE(parse_number(" 12", shards));
+  EXPECT_FALSE(parse_number("+12", shards));
+  std::uint64_t seed = 5;
+  EXPECT_FALSE(parse_number("-1", seed));  // would wrap to UINT64_MAX
+  EXPECT_FALSE(parse_number("18446744073709551616", seed));
+  // A rejected value leaves the target untouched.
+  EXPECT_EQ(port, 7);
+  EXPECT_EQ(shards, 3U);
+  EXPECT_EQ(seed, 5U);
 }
 
 }  // namespace

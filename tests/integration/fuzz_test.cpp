@@ -7,40 +7,15 @@
 #include "baseline/dapper.hpp"
 #include "baseline/strawman.hpp"
 #include "baseline/tcptrace.hpp"
-#include "common/random.hpp"
 #include "core/dart_monitor.hpp"
+#include "garbage_packets.hpp"
 #include "quic/spin_bit.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 namespace dart {
 namespace {
 
-// Uniformly random packets: random tuples (from a small pool so lookups
-// collide), random seq/ack/flags/payload, non-decreasing timestamps.
-std::vector<PacketRecord> garbage(std::uint64_t seed, std::size_t count) {
-  Rng rng(seed);
-  std::vector<PacketRecord> packets;
-  packets.reserve(count);
-  Timestamp ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    PacketRecord p;
-    ts += rng.uniform_int(0, 100000);
-    p.ts = ts;
-    p.tuple.src_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x0A080000)};
-    p.tuple.dst_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x17340000)};
-    p.tuple.src_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.tuple.dst_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.seq = static_cast<SeqNum>(rng.next_u64());
-    p.ack = static_cast<SeqNum>(rng.next_u64());
-    p.payload = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-    p.flags = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.outbound = rng.bernoulli(0.5);
-    packets.push_back(p);
-  }
-  return packets;
-}
+using test::garbage;
 
 class Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz, ::testing::Values(1u, 42u, 0xF00Du));

@@ -1,5 +1,5 @@
 // Chaos suite: drives every FaultPlan scenario against the sharded replay
-// runtime and asserts the graceful-degradation contract (ISSUE 3):
+// runtime and asserts the graceful-degradation contract:
 //
 //   (i)   liveness    — a stalled, killed, or hanged worker never deadlocks
 //                       the router; every test finishes well inside the
@@ -10,8 +10,8 @@
 //                       and a faulty run's merged stats equal the
 //                       fault-free run minus exactly the shed packets.
 //
-// Only built with -DDART_FAULT_INJECTION=ON (see tests/CMakeLists.txt and
-// the tsan CI job).
+// Runs in every build's ctest, and under ThreadSanitizer in the tsan CI
+// job.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -383,8 +383,8 @@ TEST(Chaos, WorkerWedgedAfterProgressIsAbandonedPastItsLastCut) {
 }
 
 TEST(Chaos, FaultFreePlanIsANoOp) {
-  // An empty plan through the fault-injection build must be bit-identical
-  // to running with no plan at all.
+  // An empty plan through the hook site must be bit-identical to running
+  // with no plan at all.
   const trace::Trace trace = chaos_workload(4242);
   const RunResult clean = fault_free_reference(trace);
   runtime::FaultPlan empty_plan;

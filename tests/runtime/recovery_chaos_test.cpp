@@ -15,7 +15,8 @@
 //   (iv)  fencing       — a zombie released after the run cannot alter the
 //                         committed results.
 //
-// Only built with -DDART_FAULT_INJECTION=ON (see tests/CMakeLists.txt).
+// Runs in every build's ctest, and under ThreadSanitizer in the tsan CI
+// job.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Differential hardening: ShardedMonitor vs plain DartMonitor side-by-side
-// on adversarial garbage (the fuzz_test generator's distribution — tiny
-// tuple pool so lookups collide, random seq/ack/flags, both directions).
+// on adversarial garbage (garbage_packets.hpp: tiny tuple pool so lookups
+// collide, random or per-flow coherent seq/ack, both directions).
 // With per-flow (unbounded) state the two must agree exactly; with bounded
 // tables they must both survive with invariants intact even though
 // collision patterns differ per shard. Baselines ride behind the same
@@ -11,39 +11,14 @@
 
 #include "baseline/strawman.hpp"
 #include "baseline/tcptrace.hpp"
-#include "common/random.hpp"
-#include "sharded_reference.hpp"
+#include "garbage_packets.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "sharded_reference.hpp"
 
 namespace dart {
 namespace {
 
-// Mirrors tests/integration/fuzz_test.cpp's generator: uniformly random
-// packets over a small tuple pool, non-decreasing timestamps.
-std::vector<PacketRecord> garbage(std::uint64_t seed, std::size_t count) {
-  Rng rng(seed);
-  std::vector<PacketRecord> packets;
-  packets.reserve(count);
-  Timestamp ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    PacketRecord p;
-    ts += rng.uniform_int(0, 100000);
-    p.ts = ts;
-    p.tuple.src_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x0A080000)};
-    p.tuple.dst_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x17340000)};
-    p.tuple.src_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.tuple.dst_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.seq = static_cast<SeqNum>(rng.next_u64());
-    p.ack = static_cast<SeqNum>(rng.next_u64());
-    p.payload = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-    p.flags = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.outbound = rng.bernoulli(0.5);
-    packets.push_back(p);
-  }
-  return packets;
-}
+using test::garbage;
 
 class ShardedDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDifferential,
@@ -78,7 +53,11 @@ TEST_P(ShardedDifferential, BoundedDartSurvivesAndKeepsInvariants) {
   // keep the same invariants the single-monitor fuzz test asserts, every
   // packet must be processed exactly once, and each shard must equal a
   // monitor fed its partition alone.
-  const auto packets = garbage(GetParam() ^ 0x5A5A, 40000);
+  // Coherent seq/ack so SEQs and ACKs meet on the bounded rows: a shard
+  // whose batched path touched them in a different order than the
+  // reference's process() would diverge here.
+  const auto packets =
+      garbage(GetParam() ^ 0x5A5A, 40000, test::Garbage::kCoherent);
 
   core::DartConfig config;
   config.rt_size = 1 << 8;

@@ -1,10 +1,9 @@
 // ShardedMonitor with checkpointing under fault-free conditions: a
 // checkpointed run must match an unsupervised one — same routing, same
 // merged results — while cutting checkpoints at a deterministic barrier
-// cadence. The crash-path behavior lives in recovery_chaos_test.cpp
-// (fault-injection builds); here we pin the no-fault contract and the
-// coordinator's fencing rules, which must hold long before anything
-// crashes.
+// cadence. The crash-path behavior lives in recovery_chaos_test.cpp;
+// here we pin the no-fault contract and the coordinator's fencing rules,
+// which must hold long before anything crashes.
 #include "runtime/sharded_monitor.hpp"
 
 #include <gtest/gtest.h>
