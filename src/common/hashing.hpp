@@ -30,16 +30,34 @@ std::uint32_t crc32_u32(std::uint32_t word, std::uint32_t seed = 0) noexcept;
 /// A family of independent hash functions indexed by stage number.
 class HashFamily {
  public:
-  explicit constexpr HashFamily(std::uint64_t seed) : seed_(seed) {}
+  /// Stages whose salts are precomputed: the RT hashes with stage 0 and a
+  /// k-stage PT with 1..k, so this covers the RT plus the widest PT whose
+  /// rows the batched path precomputes (PacketBatch::kMaxPtStages, 8).
+  /// Higher stages compute their salt per call.
+  static constexpr std::uint32_t kCachedStages = 9;
+
+  explicit constexpr HashFamily(std::uint64_t seed) : seed_(seed) {
+    for (std::uint32_t stage = 0; stage < kCachedStages; ++stage) {
+      salts_[stage] = salt(seed, stage);
+    }
+  }
 
   /// Hash `key` with the `stage`-th member of the family.
   constexpr std::uint64_t operator()(std::uint64_t key,
                                      std::uint32_t stage) const noexcept {
-    return mix64(key ^ mix64(seed_ + 0x632be59bd9b4e019ULL * (stage + 1)));
+    return mix64(key ^ (stage < kCachedStages ? salts_[stage]
+                                              : salt(seed_, stage)));
+  }
+
+  /// The `stage`-th member's salt: what operator() mixes into the key.
+  static constexpr std::uint64_t salt(std::uint64_t seed,
+                                      std::uint32_t stage) noexcept {
+    return mix64(seed + 0x632be59bd9b4e019ULL * (stage + 1));
   }
 
  private:
   std::uint64_t seed_;
+  std::uint64_t salts_[kCachedStages] = {};
 };
 
 }  // namespace dart

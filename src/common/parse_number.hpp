@@ -2,6 +2,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <string_view>
 #include <system_error>
 
@@ -18,6 +19,20 @@ bool parse_number(std::string_view text, T& out) {
   const char* const end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || ptr != end) return false;
+  out = value;
+  return true;
+}
+
+/// Parse all of `text` as a finite, non-negative decimal double (`--rate
+/// 2.5`, `1e3`). Rejects what parse_number rejects, plus NaN, infinities
+/// and negative values including -0 (`--rate abc` fails instead of
+/// running unpaced). `out` is written only on success.
+inline bool parse_nonnegative(std::string_view text, double& out) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  if (!std::isfinite(value) || std::signbit(value)) return false;
   out = value;
   return true;
 }

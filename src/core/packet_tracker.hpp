@@ -84,7 +84,8 @@ class PacketTracker {
 
   /// Batched hash precomputation: fill `idx[0..stage_count())` with the
   /// candidate slot per stage for (flow_sig, eack) and start pulling the
-  /// rows a probe with that access pattern will touch toward L2. The
+  /// rows a probe with that access pattern will touch toward L2 (every
+  /// cache line of each row: a 40 B slot often straddles two). The
   /// batched hot path runs this far ahead of the probe loop, promotes the
   /// same rows to L1 with prefetch_rows() a few packets before use, then
   /// feeds the array back to insert()/lookup_erase() so every stage hash
@@ -104,9 +105,9 @@ class PacketTracker {
     for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
       idx[stage] = static_cast<std::uint32_t>(
           index(key, static_cast<std::uint32_t>(stage)));
-      if (all_stages) prefetch_far(&stages_[stage][idx[stage]]);
+      if (all_stages) prefetch_row_far(&stages_[stage][idx[stage]]);
     }
-    if (!all_stages) prefetch_far(&stages_[0][idx[0]]);
+    if (!all_stages) prefetch_row_far(&stages_[0][idx[0]]);
   }
 
   /// Near-distance companion of precompute(): promote the rows a prior
@@ -116,10 +117,10 @@ class PacketTracker {
     if (!bounded_) return;
     if (all_stages) {
       for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
-        prefetch_near(&stages_[stage][idx[stage]]);
+        prefetch_row_near(&stages_[stage][idx[stage]]);
       }
     } else {
-      prefetch_near(&stages_[0][idx[0]]);
+      prefetch_row_near(&stages_[0][idx[0]]);
     }
   }
 

@@ -121,12 +121,13 @@ class RangeTracker {
   /// Two-level prefetch from an already-computed ref_of_hashed() value —
   /// the batched path's forms, which cost no hash work: _far starts the
   /// DRAM fetch toward L2 many packets ahead, _near promotes the slot to
-  /// L1 just before its probe (see prefetch.hpp).
+  /// L1 just before its probe. Both cover the whole slot, which may
+  /// straddle two cache lines (see prefetch.hpp).
   void prefetch_ref_far(std::uint64_t ref) const {
-    if (bounded_) prefetch_far(&slots_[ref]);
+    if (bounded_) prefetch_row_far(&slots_[ref]);
   }
   void prefetch_ref_near(std::uint64_t ref) const {
-    if (bounded_) prefetch_near(&slots_[ref]);
+    if (bounded_) prefetch_row_near(&slots_[ref]);
   }
 
   /// Re-validate a recirculated record: does the flow with this signature

@@ -18,15 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/prefetch.hpp"  // kCacheLine
 #include "common/thread_annotations.hpp"
 
 namespace dart::runtime {
-
-// A fixed 64 rather than std::hardware_destructive_interference_size: the
-// standard constant is ABI-unstable across -mtune settings (GCC warns on
-// every use) and 64 is the destructive-interference size on every platform
-// this targets.
-inline constexpr std::size_t kCacheLine = 64;
 
 template <typename T>
 class SpscRing {

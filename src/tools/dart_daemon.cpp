@@ -30,7 +30,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -320,7 +319,9 @@ int main(int argc, char** argv) {
         options.trace_path = argv[++i];
         have_source = true;
       } else if (arg == "--rate" && i + 1 < argc) {
-        options.rate = std::strtod(argv[++i], nullptr);
+        if (!dart::parse_nonnegative(argv[++i], options.rate)) {
+          return usage_error();
+        }
       } else if (arg == "--listen" && i + 1 < argc) {
         options.listen = true;
         if (!dart::parse_number(argv[++i], options.listen_port)) {

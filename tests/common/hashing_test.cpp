@@ -74,5 +74,46 @@ TEST(HashFamily, StageIndexDistributionIsRoughlyUniform) {
   }
 }
 
+TEST(HashFamily, CachedSaltsMatchTheFormula) {
+  // The family caches the first kCachedStages salts; every stage, cached
+  // or not, must hash exactly as the uncached formula does, since table
+  // placement (and so every report and checkpoint) depends on it.
+  const auto formula = [](std::uint64_t seed, std::uint64_t key,
+                          std::uint32_t stage) {
+    return mix64(key ^ mix64(seed + 0x632be59bd9b4e019ULL * (stage + 1)));
+  };
+  const std::uint64_t seeds[] = {0, 1, 0x5eed, 0xD1CE'F00D'0000'0001ULL,
+                                 UINT64_MAX};
+  const std::uint64_t keys[] = {0, 42, 0x0123456789abcdefULL, UINT64_MAX};
+  for (const std::uint64_t seed : seeds) {
+    const HashFamily family(seed);
+    for (std::uint32_t stage = 0; stage < HashFamily::kCachedStages + 4;
+         ++stage) {
+      for (const std::uint64_t key : keys) {
+        EXPECT_EQ(family(key, stage), formula(seed, key, stage))
+            << "seed " << seed << " stage " << stage << " key " << key;
+      }
+    }
+  }
+}
+
+TEST(HashFamily, GoldenValues) {
+  // Pinned outputs, cached stages (0, 1, 8) and computed ones (9, 31): a
+  // change here moves every table row.
+  constexpr std::uint64_t kKey = 0x0123456789abcdefULL;
+  EXPECT_EQ(HashFamily(0)(kKey, 0), 0x022e97fc2d54af87ULL);
+  EXPECT_EQ(HashFamily(0)(kKey, 1), 0xa2888a53b0aaa362ULL);
+  EXPECT_EQ(HashFamily(0)(kKey, 8), 0xda5cb4a592980be9ULL);
+  EXPECT_EQ(HashFamily(0)(kKey, 9), 0x233a2b89d87dfbbcULL);
+  EXPECT_EQ(HashFamily(0)(kKey, 31), 0x2c61fadc0cd2fd80ULL);
+  EXPECT_EQ(HashFamily(1)(kKey, 0), 0xa7bf2ab41886c7e1ULL);
+  EXPECT_EQ(HashFamily(1)(kKey, 1), 0x8ec7c94559f265eeULL);
+  EXPECT_EQ(HashFamily(1)(kKey, 9), 0x7ec21a85e9b2c0c0ULL);
+  EXPECT_EQ(HashFamily(0x5eed)(kKey, 0), 0x20a0983edd8eae7aULL);
+  EXPECT_EQ(HashFamily(0x5eed)(kKey, 1), 0xcfa8ec9ebc79cdb3ULL);
+  EXPECT_EQ(HashFamily(0x5eed)(kKey, 8), 0x3ae234a72d72ea25ULL);
+  EXPECT_EQ(HashFamily(0x5eed)(kKey, 31), 0xd8413f79cf5340f4ULL);
+}
+
 }  // namespace
 }  // namespace dart

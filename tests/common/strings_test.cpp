@@ -75,5 +75,35 @@ TEST(ParseNumber, RejectsWhatStrtoullWouldSilentlyAccept) {
   EXPECT_EQ(seed, 5U);
 }
 
+TEST(ParseNonnegative, AcceptsFiniteNonNegativeDecimals) {
+  double rate = -1.0;
+  EXPECT_TRUE(parse_nonnegative("2.5", rate));
+  EXPECT_EQ(rate, 2.5);
+  EXPECT_TRUE(parse_nonnegative("0", rate));
+  EXPECT_EQ(rate, 0.0);
+  EXPECT_TRUE(parse_nonnegative("1e3", rate));
+  EXPECT_EQ(rate, 1000.0);
+  EXPECT_TRUE(parse_nonnegative(".5", rate));
+  EXPECT_EQ(rate, 0.5);
+}
+
+TEST(ParseNonnegative, RejectsWhatStrtodWouldSilentlyAccept) {
+  double rate = 7.0;
+  EXPECT_FALSE(parse_nonnegative("abc", rate));  // strtod: 0, unpaced
+  EXPECT_FALSE(parse_nonnegative("", rate));
+  EXPECT_FALSE(parse_nonnegative("1.5x", rate));
+  EXPECT_FALSE(parse_nonnegative(" 1.5", rate));
+  EXPECT_FALSE(parse_nonnegative("+1.5", rate));
+  EXPECT_FALSE(parse_nonnegative("-1", rate));
+  EXPECT_FALSE(parse_nonnegative("-0", rate));
+  EXPECT_FALSE(parse_nonnegative("nan", rate));
+  EXPECT_FALSE(parse_nonnegative("NaN", rate));
+  EXPECT_FALSE(parse_nonnegative("inf", rate));
+  EXPECT_FALSE(parse_nonnegative("infinity", rate));
+  EXPECT_FALSE(parse_nonnegative("1e999", rate));  // out of range
+  EXPECT_FALSE(parse_nonnegative("0x10", rate));
+  EXPECT_EQ(rate, 7.0);  // a rejected value leaves the target untouched
+}
+
 }  // namespace
 }  // namespace dart

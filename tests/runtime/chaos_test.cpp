@@ -202,12 +202,19 @@ TEST(Chaos, CleanExitAtJoinDeadlineIsNeverAbandoned) {
     plan.hang(/*shard=*/0, /*at_batch=*/0);
     runtime::ShardedConfig config = chaos_config(&plan);
     config.join_timeout_ns = kJoinTimeoutNs;
+    // Rings deep enough for every batch of the trace: routing never waits
+    // on the hung shard (no shed-deadline waits), and finish() goes
+    // straight from its flush into the join wait.
+    config.queue_batches = trace.packets().size() / config.batch_size + 1;
     runtime::ShardedMonitor sharded(config, monitor_config());
     sharded.process_all(trace.packets());
 
-    // Release the hang just around the deadline (16..25 ms in 1 ms steps).
-    std::thread releaser([&plan, i] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(16 + i));
+    // Release the hang just around the deadline (16..25 ms after the join
+    // wait starts, in 1 ms steps).
+    const auto join_start = std::chrono::steady_clock::now();
+    std::thread releaser([&plan, join_start, i] {
+      std::this_thread::sleep_until(join_start +
+                                    std::chrono::milliseconds(16 + i));
       plan.release_hangs();
     });
     sharded.finish();
