@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,21 +73,23 @@ trace::Trace with_background(trace::Trace attack) {
   return trace::merge(std::move(parts));
 }
 
-// A DartReplayMonitor that burns a fixed busy-wait per packet — a stand-in
-// for a worker degraded by a noisy neighbor, page faults, or a debug build.
-// Needs no fault-injection hooks, so the sweep runs in any configuration.
+// A DartReplayMonitor that stalls a fixed time per packet — a stand-in for
+// a worker degraded by page faults, a descheduled core, or a debug build.
+// It sleeps rather than spins: a spinning worker that shares the router's
+// CPU stretches every backoff sleep until it frees a ring slot, so the
+// router never reaches its shed deadline and the sweep would measure
+// thread placement instead of the overload policy.
 class SlowReplayMonitor : public runtime::ReplayMonitor {
  public:
   SlowReplayMonitor(const core::DartConfig& config,
-                    core::SampleCallback on_sample, std::uint64_t burn_ns)
-      : inner_(config, std::move(on_sample)), burn_ns_(burn_ns) {}
+                    core::SampleCallback on_sample, std::uint64_t stall_ns)
+      : inner_(config, std::move(on_sample)), stall_ns_(stall_ns) {}
 
   void process_batch(std::span<const PacketRecord> packets) override {
-    if (burn_ns_ > 0) {
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::nanoseconds(burn_ns_ * packets.size());
-      while (std::chrono::steady_clock::now() < until) {
-      }
+    if (stall_ns_ > 0) {
+      std::this_thread::sleep_until(
+          std::chrono::steady_clock::now() +
+          std::chrono::nanoseconds(stall_ns_ * packets.size()));
     }
     inner_.process_batch(packets);
   }
@@ -94,7 +97,7 @@ class SlowReplayMonitor : public runtime::ReplayMonitor {
 
  private:
   runtime::DartReplayMonitor inner_;
-  std::uint64_t burn_ns_;
+  std::uint64_t stall_ns_;
 };
 
 struct OverloadOutcome {
@@ -104,11 +107,11 @@ struct OverloadOutcome {
   std::size_t samples = 0;
 };
 
-/// Replay the campus mix through the sharded runtime with shard 0 burning
-/// `burn_ns` per packet; a small ring and a short shed deadline put the
+/// Replay the campus mix through the sharded runtime with shard 0 stalling
+/// `stall_ns` per packet; a small ring and a short shed deadline put the
 /// sweep into the overload regime quickly.
 OverloadOutcome run_overloaded(const trace::Trace& trace,
-                               std::uint64_t burn_ns) {
+                               std::uint64_t stall_ns) {
   core::DartConfig dart_config;
   dart_config.rt_size = 1 << 14;
   dart_config.pt_size = 1 << 12;
@@ -117,18 +120,17 @@ OverloadOutcome run_overloaded(const trace::Trace& trace,
   config.shards = 4;
   config.batch_size = 64;
   config.queue_batches = 4;
-  // Skip the spin phase: with a busy-waiting neighbor each yield() costs
-  // tens of microseconds, so a big spin budget would absorb the whole
+  // Keep the spin phase short: a big spin budget would absorb the whole
   // wait and hide the timed backoff ladder this sweep exercises.
   config.overload.spin_budget = 8;
   config.overload.backoff_initial_ns = 10'000;   // 10 us
   config.overload.shed_deadline_ns = 1'000'000;  // 1 ms, then shed
 
   runtime::ShardedMonitor sharded(
-      config, [&dart_config, burn_ns](std::uint32_t shard,
-                                      core::SampleCallback on_sample) {
+      config, [&dart_config, stall_ns](std::uint32_t shard,
+                                       core::SampleCallback on_sample) {
         return std::make_unique<SlowReplayMonitor>(
-            dart_config, std::move(on_sample), shard == 0 ? burn_ns : 0);
+            dart_config, std::move(on_sample), shard == 0 ? stall_ns : 0);
       });
   sharded.process_all(trace.packets());
   sharded.finish();
@@ -151,16 +153,16 @@ void overload_sweep() {
 
   const OverloadOutcome clean = run_overloaded(trace, 0);
   // With 64-packet batches and a 1 ms shed deadline the knee sits where
-  // a batch's service time crosses the deadline (~16 us/pkt of slowdown,
-  // higher once the host oversubscribes cores): below it the slow shard
-  // frees a ring slot in time, above it the router sheds the overflow.
+  // a batch's service time crosses the deadline (~16 us/pkt of slowdown):
+  // below it the slow shard frees a ring slot in time, above it the router
+  // sheds the overflow.
   TextTable table({"shard-0 slowdown", "shed packets", "shed rate",
                    "backpressure", "samples", "coverage vs clean"});
-  for (std::uint64_t burn_ns : {0ULL, 10'000ULL, 50'000ULL, 200'000ULL,
-                                1'000'000ULL}) {
-    const OverloadOutcome outcome = run_overloaded(trace, burn_ns);
+  for (std::uint64_t stall_ns : {0ULL, 10'000ULL, 50'000ULL, 200'000ULL,
+                                 1'000'000ULL}) {
+    const OverloadOutcome outcome = run_overloaded(trace, stall_ns);
     table.add_row(
-        {burn_ns == 0 ? "none" : format_count(burn_ns) + " ns/pkt",
+        {stall_ns == 0 ? "none" : format_count(stall_ns) + " ns/pkt",
          format_count(outcome.shed),
          format_percent(static_cast<double>(outcome.shed) /
                         static_cast<double>(outcome.routed)),

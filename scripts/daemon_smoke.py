@@ -6,8 +6,9 @@ Two scenarios against a generated campus trace:
   drain       — a rate-paced live run must drain to the barrier, serve a
                 /deterministic report that is byte-stable across scrapes,
                 byte-identical to an offline ``dartd replay`` of the same
-                trace, and identical to the --final-out file; SIGTERM on
-                the drained daemon must exit 0.
+                trace, and identical to the --final-out file; its /metrics
+                scrape must carry the accounting identity and the same
+                routed total; SIGTERM on the drained daemon must exit 0.
   sigterm     — a slow-paced run killed *mid-ingest* must drain to the
                 barrier (exit 0, "drained cleanly"), and the partial
                 final report must still carry the accounting identity
@@ -157,6 +158,15 @@ def scenario_drain(binary, trace, replay_report, workdir, rate, shards,
         routed = check_identity(first, "live report")
         log("drain: live == offline, identity holds over %d packets"
             % routed)
+
+        # The live telemetry tier is folded from the same settled results
+        # at drain, so it must agree with the deterministic report.
+        metrics = query(query_port, "/metrics")
+        metrics_routed = check_identity(metrics, "/metrics")
+        if metrics_routed != routed:
+            fail("/metrics routed %d != /deterministic routed %d\n%s"
+                 % (metrics_routed, routed, metrics))
+        log("drain: /metrics identity holds, routed matches")
 
         stderr = stop_and_reap(daemon, "drained daemon")
         log("drain: " + stderr.strip().splitlines()[-1])

@@ -125,9 +125,7 @@ std::string EpochRunner::run_cycle(PacketSource& source, const StopFn& stop) {
   // The report needs only the histograms; keeping the raw stream would
   // grow memory with uptime.
   sharded.retain_samples = false;
-#if defined(DART_TELEMETRY)
   sharded.telemetry = config_.telemetry;
-#endif
   // The hook runs on the router thread — this thread, inside
   // process_all — so reading the cursors through `live` never races
   // routing state. `live` is assigned before the first packet is routed.

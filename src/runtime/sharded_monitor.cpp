@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/config_check.hpp"
 #include "runtime/epoch_math.hpp"
 #include "runtime/fault_injection.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/runtime_metrics.hpp"
-#endif
 
 namespace dart::runtime {
 namespace {
@@ -23,13 +22,24 @@ std::uint64_t now_ns() {
           .count());
 }
 
+// The shard count is a thread count: reject it before the router, the
+// coordinator or any incarnation is sized by it.
+std::uint32_t checked_shards(std::uint32_t shards) {
+  if (shards > kMaxShards) {
+    throw std::invalid_argument("ShardedMonitor: shards " +
+                                std::to_string(shards) + " exceeds " +
+                                std::to_string(kMaxShards));
+  }
+  return shards == 0 ? 1 : shards;
+}
+
 }  // namespace
 
 ShardedMonitor::ShardedMonitor(const ShardedConfig& config,
                                MonitorFactory factory)
     : config_(config),
       factory_(std::move(factory)),
-      router_(config.shards == 0 ? 1 : config.shards, config.route_seed),
+      router_(checked_shards(config.shards), config.route_seed),
       coordinator_(std::make_shared<CheckpointCoordinator>(router_.shards())),
       shards_(router_.shards()) {
   config_.shards = router_.shards();
@@ -65,9 +75,7 @@ std::uint64_t ShardedMonitor::incarnate(Shard& shard, std::uint64_t base,
   inc->base_cursor = base;
   inc->coordinator = coordinator_;
   inc->faults = config_.faults;
-#if defined(DART_TELEMETRY)
   inc->metrics = config_.telemetry;
-#endif
   // The callback writes the worker-private delta: the worker thread is the
   // only caller of monitor->process_batch, hence the only writer.
   Incarnation* const sink = inc.get();
@@ -117,11 +125,9 @@ void ShardedMonitor::commit(Incarnation& inc, const Work* marker) {
       image = inc.monitor->snapshot(meta);
     }
   }
-#if defined(DART_TELEMETRY)
   const auto commit_start = inc.metrics != nullptr
                                 ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-#endif
   // Fenced: a zombie's commit is rejected and its delta discarded — it
   // belongs to a window already written off.
   CheckpointCoordinator& store = *inc.coordinator;
@@ -129,7 +135,6 @@ void ShardedMonitor::commit(Incarnation& inc, const Work* marker) {
                                      std::move(inc.samples), inc.rtt);
   inc.samples.clear();  // moved-from: restore a defined empty state
   inc.rtt = analytics::LogHistogram{};
-#if defined(DART_TELEMETRY)
   if (marker != nullptr && inc.metrics != nullptr) {
     const auto elapsed = std::chrono::steady_clock::now() - commit_start;
     inc.metrics->commit_latency->at(0).observe(static_cast<Timestamp>(
@@ -141,9 +146,6 @@ void ShardedMonitor::commit(Incarnation& inc, const Work* marker) {
       inc.metrics->checkpoint_rejected->at(inc.shard).inc();
     }
   }
-#else
-  (void)accepted;
-#endif
 }
 
 void ShardedMonitor::worker_loop(Incarnation& inc) {
@@ -166,14 +168,11 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         inc.dead.store(true, std::memory_order_release);
         break;
       }
-#if defined(DART_TELEMETRY)
       const auto batch_start = inc.metrics != nullptr
                                    ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-#endif
       inc.monitor->process_batch(work.batch);
       inc.packets_done.fetch_add(work.batch.size(), std::memory_order_release);
-#if defined(DART_TELEMETRY)
       if (inc.metrics != nullptr) {
         const auto elapsed = std::chrono::steady_clock::now() - batch_start;
         inc.metrics->batch_latency->at(inc.shard).observe(
@@ -185,7 +184,6 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         inc.metrics->worker_batches->at(inc.shard).inc();
         inc.metrics->worker_packets->at(inc.shard).inc(work.batch.size());
       }
-#endif
       ++batches_done;
       work.batch.clear();
       continue;
@@ -246,12 +244,10 @@ void ShardedMonitor::flush_shard(Shard& shard) {
   shard.pending.reserve(config_.batch_size);
   shard.routed += work.batch.size();
   deliver(shard, std::move(work));
-#if defined(DART_TELEMETRY)
   if (config_.telemetry != nullptr) {
     config_.telemetry->ring_occupancy->at(shard.index)
         .set(static_cast<std::int64_t>(shard.inc->queue.size_approx()));
   }
-#endif
 }
 
 void ShardedMonitor::maybe_barrier(Shard& shard, Timestamp ts) {
@@ -307,10 +303,8 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
   OverloadGovernor governor(config_.overload);
   std::uint64_t backoff_start_ns = 0;  // set on the first post-spin retry
   bool contended = false;
-#if defined(DART_TELEMETRY)
   telemetry::RuntimeMetrics* const tm = config_.telemetry;
   bool backoff_counted = false;
-#endif
   for (;;) {
     if (shard.tombstoned) {
       shed(shard, work);
@@ -341,15 +335,12 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
     }
     const OverloadDecision decision = governor.next(elapsed_ns);
     if (decision.action == OverloadAction::kShed) {
-#if defined(DART_TELEMETRY)
       if (tm != nullptr) tm->governor_sheds->at(shard.index).inc();
-#endif
       shed(shard, work);
       return;
     }
     if (decision.action == OverloadAction::kSleep) {
       ++shard.health.backoff_sleeps;
-#if defined(DART_TELEMETRY)
       if (tm != nullptr) {
         tm->backpressure_sleeps->at(shard.index).inc();
         if (!backoff_counted) {
@@ -357,7 +348,6 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
           tm->governor_backoffs->at(shard.index).inc();
         }
       }
-#endif
       std::this_thread::sleep_for(
           std::chrono::nanoseconds(decision.sleep_ns));
     } else {
@@ -519,7 +509,6 @@ void ShardedMonitor::shutdown() noexcept {
     coordinator_->take_committed(shard.index, &samples, &shard.rtt);
     shard.samples = analytics::SampleLog(std::move(samples));
   }
-#if defined(DART_TELEMETRY)
   // Quiesce fold: authoritative counters are written exactly once, from
   // the settled per-shard results. Live per-batch counts include work a
   // rollback or a detach discarded, so they must never feed this tier.
@@ -529,7 +518,6 @@ void ShardedMonitor::shutdown() noexcept {
                                             shard.result);
     }
   }
-#endif
 }
 
 const analytics::SampleLog& ShardedMonitor::shard_samples(

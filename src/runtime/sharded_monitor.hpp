@@ -84,18 +84,22 @@
 #include "runtime/shard_router.hpp"
 #include "runtime/spsc_ring.hpp"
 
-#if defined(DART_TELEMETRY)
 namespace dart::telemetry {
 struct RuntimeMetrics;
 }  // namespace dart::telemetry
-#endif
 
 namespace dart::runtime {
 
 class FaultPlan;
 
+/// Largest shard count a ShardedMonitor accepts. Each shard is one worker
+/// thread, so the count is a thread count; 256 is 32x the largest count any
+/// tool, test or bench uses (8) and still far below a process thread limit.
+inline constexpr std::uint32_t kMaxShards = 256;
+
 struct ShardedConfig {
-  /// Number of worker threads / monitor partitions (>= 1).
+  /// Number of worker threads / monitor partitions (1..kMaxShards; 0 means
+  /// 1).
   std::uint32_t shards = 1;
 
   /// Packets accumulated per shard before a queue handoff. One push
@@ -156,18 +160,18 @@ struct ShardedConfig {
   /// per-batch hook site.
   FaultPlan* faults = nullptr;
 
-#if defined(DART_TELEMETRY)
   /// Standard metric families to instrument; must outlive every worker.
-  /// nullptr runs uninstrumented. Only exists in DART_TELEMETRY builds;
-  /// with the option OFF the hot path contains no telemetry sites at all.
+  /// nullptr (the default) runs uninstrumented: each instrumentation site
+  /// is then one pointer test.
   telemetry::RuntimeMetrics* telemetry = nullptr;
-#endif
 };
 
 class ShardedMonitor {
  public:
   /// Workers are started immediately; `factory` is invoked once per shard
-  /// (and once per restart) on the router thread.
+  /// (and once per restart) on the router thread. Throws
+  /// std::invalid_argument, before any worker exists, when `config.shards`
+  /// exceeds kMaxShards.
   ShardedMonitor(const ShardedConfig& config, MonitorFactory factory);
 
   /// Convenience: every shard runs a private DartMonitor with this config.
@@ -298,9 +302,7 @@ class ShardedMonitor {
     std::atomic<bool> dead{false};    ///< exited early (kill fault)
     std::atomic<bool> exited{false};  ///< worker loop finished (all paths)
     FaultPlan* faults = nullptr;
-#if defined(DART_TELEMETRY)
     telemetry::RuntimeMetrics* metrics = nullptr;  ///< worker-read, may be null
-#endif
   };
 
   /// Router-side state of one shard.

@@ -89,7 +89,9 @@ RuntimeMetrics::RuntimeMetrics(Registry& reg) : registry(&reg) {
   {
     HistogramOptions opts;
     opts.help = "wall-clock latency of one checkpoint commit (ns)";
-    opts.slots = 1;  // the coordinator is a single writer
+    // One slot that every worker's commit() observes: concurrent writers
+    // are safe because the bins and the min/max are atomic.
+    opts.slots = 1;
     opts.max_value = sec(100);
     commit_latency = &reg.histogram("dart_commit_latency_ns", opts);
   }

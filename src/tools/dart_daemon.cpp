@@ -18,7 +18,7 @@
 //   /epoch          last sealed epoch barrier (router-side cursors)
 //   /deterministic  final deterministic report once drained, else the
 //                   last barrier snapshot
-//   /metrics        live telemetry tier (DART_TELEMETRY builds)
+//   /metrics        live telemetry tier (Prometheus text)
 //
 // Lifetime contract (the bug this daemon exists to fix): end-of-trace is
 // NOT shutdown — the service drains to the barrier, seals the final
@@ -41,13 +41,11 @@
 #include "daemon/replay_source.hpp"
 #include "daemon/socket_source.hpp"
 #include "gen/workload.hpp"
+#include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
-#include "trace/trace_io.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
+#include "trace/trace_io.hpp"
 
 namespace {
 
@@ -63,7 +61,7 @@ void print_usage(std::ostream& out) {
          "    --connections N             concurrent flows (default 400)\n"
          "    --duration-s D              trace duration (default 4)\n"
          "  replay --trace FILE           offline deterministic reference\n"
-         "    --shards N                  worker shards (default 2)\n"
+         "    --shards N                  worker shards, 1..256 (default 2)\n"
          "    --epoch-interval N          packets per epoch (default 65536)\n"
          "    --out FILE                  write the report (atomic)\n"
          "  run                           live daemon until SIGTERM\n"
@@ -95,11 +93,11 @@ std::string render_status(const dart::daemon::DaemonStatus& status) {
   return out;
 }
 
-int run_gen(std::uint64_t seed, std::uint64_t connections,
+int run_gen(std::uint64_t seed, std::uint32_t connections,
             std::uint64_t duration_s, const std::string& out_path) {
   dart::gen::CampusConfig workload;
   workload.seed = seed;
-  workload.connections = static_cast<std::uint32_t>(connections);
+  workload.connections = connections;
   workload.duration = dart::sec(duration_s);
   const dart::trace::Trace trace = dart::gen::build_campus(workload);
   if (!dart::trace::write_binary_file(trace, out_path)) {
@@ -184,21 +182,14 @@ int run_daemon(const RunOptions& options) {
 
   dart::daemon::DaemonConfig config =
       make_daemon_config(options.shards, options.epoch_interval);
-#if defined(DART_TELEMETRY)
   dart::telemetry::Registry registry(config.shards);
   dart::telemetry::RuntimeMetrics metrics(registry);
   config.telemetry = &metrics;
-#endif
   dart::daemon::EpochRunner runner(config);
 
   dart::daemon::QueryServer server(
       options.query_port,
-      [&runner
-#if defined(DART_TELEMETRY)
-       ,
-       &registry
-#endif
-  ](const std::string& path) -> std::string {
+      [&runner, &registry](const std::string& path) -> std::string {
         if (path == "/healthz") return "ok\n";
         if (path == "/status") return render_status(runner.status());
         if (path == "/epoch") return runner.epoch_report();
@@ -207,11 +198,7 @@ int run_daemon(const RunOptions& options) {
           return report.empty() ? runner.epoch_report() : report;
         }
         if (path == "/metrics") {
-#if defined(DART_TELEMETRY)
           return dart::telemetry::to_prometheus(registry.snapshot());
-#else
-          return "error: built without DART_TELEMETRY\n";
-#endif
         }
         return std::string();  // 404
       });
@@ -264,7 +251,7 @@ int main(int argc, char** argv) {
 
   if (command == "gen") {
     std::uint64_t seed = 1;
-    std::uint64_t connections = 400;
+    std::uint32_t connections = 400;
     std::uint64_t duration_s = 4;
     std::string out_path;
     for (int i = 2; i < argc; ++i) {
@@ -295,7 +282,10 @@ int main(int argc, char** argv) {
       if (arg == "--trace" && i + 1 < argc) {
         trace_path = argv[++i];
       } else if (arg == "--shards" && i + 1 < argc) {
-        if (!dart::parse_number(argv[++i], shards)) return usage_error();
+        if (!dart::parse_number(argv[++i], shards) ||
+            shards > dart::runtime::kMaxShards) {
+          return usage_error();
+        }
       } else if (arg == "--epoch-interval" && i + 1 < argc) {
         if (!dart::parse_number(argv[++i], epoch_interval)) {
           return usage_error();
@@ -329,7 +319,8 @@ int main(int argc, char** argv) {
         }
         have_source = true;
       } else if (arg == "--shards" && i + 1 < argc) {
-        if (!dart::parse_number(argv[++i], options.shards)) {
+        if (!dart::parse_number(argv[++i], options.shards) ||
+            options.shards > dart::runtime::kMaxShards) {
           return usage_error();
         }
       } else if (arg == "--epoch-interval" && i + 1 < argc) {

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,6 +55,11 @@ constexpr int kExitKilled = 3;
 /// both the monitors' table hashes and the intra-process shard router.
 constexpr std::uint64_t kFleetRouteSeed = 0xDA27'000F;
 
+/// --connections feeds gen::CampusConfig's 32-bit count; a larger value is
+/// a usage error, not a silent wrap.
+constexpr std::uint64_t kMaxConnections =
+    std::numeric_limits<std::uint32_t>::max();
+
 void print_usage(std::ostream& out) {
   out << "usage: dart-fleet <command> [options]\n"
          "\n"
@@ -66,8 +72,9 @@ void print_usage(std::ostream& out) {
          "    --connections N           campus connections (default 2000)\n"
          "    --duration-s T            campus duration seconds (default 6)\n"
          "    --epochs E                epoch barriers to publish (default 4)\n"
-         "    --shards K                worker shards; 1 = single monitor\n"
-         "                              with checkpoint frames (default 1)\n"
+         "    --shards K                worker shards, 1..256; 1 = single\n"
+         "                              monitor with checkpoint frames\n"
+         "                              (default 1)\n"
          "    --incarnation N           restart incarnation tag: publish\n"
          "                              slots never collide with an earlier\n"
          "                              incarnation's files (default 0)\n"
@@ -520,16 +527,23 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       std::uint64_t* number = nullptr;
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
       if (arg == "--id") number = &options.id;
       else if (arg == "--vantages") number = &options.vantages;
       else if (arg == "--seed") number = &options.seed;
-      else if (arg == "--connections") number = &options.connections;
       else if (arg == "--duration-s") number = &options.duration_s;
       else if (arg == "--epochs") number = &options.epochs;
-      else if (arg == "--shards") number = &options.shards;
       else if (arg == "--incarnation") number = &options.incarnation;
+      else if (arg == "--connections") {
+        number = &options.connections;
+        max = kMaxConnections;
+      } else if (arg == "--shards") {
+        number = &options.shards;
+        max = dart::runtime::kMaxShards;
+      }
       if (number != nullptr) {
-        if (!has_value(i) || !dart::parse_number(args[++i], *number)) {
+        if (!has_value(i) || !dart::parse_number(args[++i], *number) ||
+            *number > max) {
           std::cerr << "dart-fleet vantage: bad value for " << arg << "\n";
           return kExitUsage;
         }
@@ -619,15 +633,20 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       std::uint64_t* number = nullptr;
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
       if (arg == "--vantages") number = &options.vantages;
       else if (arg == "--seed") number = &options.seed;
-      else if (arg == "--connections") number = &options.connections;
       else if (arg == "--duration-s") number = &options.duration_s;
       else if (arg == "--epochs") number = &options.epochs;
       else if (arg == "--fault-vantage") number = &options.fault_vantage;
       else if (arg == "--skew-grace") number = &options.skew_grace;
+      else if (arg == "--connections") {
+        number = &options.connections;
+        max = kMaxConnections;
+      }
       if (number != nullptr) {
-        if (!has_value(i) || !dart::parse_number(args[++i], *number)) {
+        if (!has_value(i) || !dart::parse_number(args[++i], *number) ||
+            *number > max) {
           std::cerr << "dart-fleet demo: bad value for " << arg << "\n";
           return kExitUsage;
         }

@@ -12,8 +12,8 @@
 // --check verifies the accounting identity
 //     processed + shed + abandoned + lost_to_crash == routed
 // per shard and in aggregate; a violation exits nonzero, which is what the
-// ctest entries assert. `demo` requires a DART_TELEMETRY build; `render`
-// and `watch` work on any snapshot file regardless of build flavor.
+// ctest entries assert. `render` and `watch` work on any snapshot file,
+// whichever process wrote it.
 // Exit codes: 0 ok, 1 identity violation / unreadable file, 2 usage error.
 #include <algorithm>
 #include <chrono>
@@ -29,15 +29,12 @@
 #include <vector>
 
 #include "common/parse_number.hpp"
-#include "telemetry/export.hpp"
-#include "telemetry/registry.hpp"
-#include "telemetry/snapshot_watch.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
+#include "telemetry/snapshot_watch.hpp"
 
 namespace {
 
@@ -51,7 +48,7 @@ void print_usage(std::ostream& out) {
          "    --interval-ms N             poll interval (default 1000)\n"
          "    --iterations N              stop after N renders (0 = forever)\n"
          "  demo                          run an instrumented demo workload\n"
-         "    --shards N                  worker shards (default 4)\n"
+         "    --shards N                  worker shards, 1..256 (default 4)\n"
          "    --seed S                    workload seed (default 1)\n"
          "    --out FILE                  also write the Prometheus snapshot\n"
          "    --json FILE                 also write the JSON snapshot\n"
@@ -238,7 +235,6 @@ int run_watch(const std::string& path, std::uint64_t interval_ms,
   }
 }
 
-#if defined(DART_TELEMETRY)
 int run_demo(std::uint32_t shards, std::uint64_t seed,
              const std::string& out_path, const std::string& json_path,
              bool deterministic, bool check) {
@@ -281,7 +277,6 @@ int run_demo(std::uint32_t shards, std::uint64_t seed,
   if (check && !check_identity(samples, std::cerr)) return 1;
   return 0;
 }
-#endif
 
 }  // namespace
 
@@ -317,7 +312,6 @@ int main(int argc, char** argv) {
   }
 
   if (command == "demo") {
-#if defined(DART_TELEMETRY)
     std::uint32_t shards = 4;
     std::uint64_t seed = 1;
     std::string out_path;
@@ -327,7 +321,10 @@ int main(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--shards" && i + 1 < argc) {
-        if (!dart::parse_number(argv[++i], shards)) return usage_error();
+        if (!dart::parse_number(argv[++i], shards) ||
+            shards > dart::runtime::kMaxShards) {
+          return usage_error();
+        }
       } else if (arg == "--seed" && i + 1 < argc) {
         if (!dart::parse_number(argv[++i], seed)) return usage_error();
       } else if (arg == "--out" && i + 1 < argc) {
@@ -344,10 +341,6 @@ int main(int argc, char** argv) {
     }
     return run_demo(shards == 0 ? 1 : shards, seed, out_path, json_path,
                     deterministic, check);
-#else
-    std::cerr << "dart-top: demo requires a DART_TELEMETRY=ON build\n";
-    return 2;
-#endif
   }
 
   return usage_error();

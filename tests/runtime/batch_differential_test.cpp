@@ -20,12 +20,9 @@
 #include "gen/workload.hpp"
 #include "sharded_reference.hpp"
 #include "runtime/sharded_monitor.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
 
 namespace dart {
 namespace {
@@ -213,7 +210,6 @@ TEST(BatchDifferential, ShardedWorkerModesAgreePerShard) {
   }
 }
 
-#if defined(DART_TELEMETRY)
 // Deterministic-tier telemetry is folded from the settled per-shard results
 // at quiesce time, so the exported text must be byte-identical to a
 // registry folded from the per-partition reference counters.
@@ -268,7 +264,6 @@ TEST(BatchDifferential, BatchFillHistogramRecordsEveryBatch) {
   EXPECT_GT(batches, 0U);
   EXPECT_EQ(metrics.batch_fill->fold_all().count(), batches);
 }
-#endif  // DART_TELEMETRY
 
 }  // namespace
 }  // namespace dart

@@ -5,6 +5,10 @@
 // count, every seed, every run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -130,6 +134,27 @@ TEST(ShardedEdge, TinyBatchesAndQueues) {
   sharded.process_all(trace.packets());
   sharded.finish();
   EXPECT_EQ(sharded.merged_samples(), ref.samples);
+}
+
+TEST(ShardedEdge, ShardCountAboveCapThrowsBeforeAnyWorker) {
+  // Each shard is a thread: an over-cap count must fail before the factory
+  // builds a single monitor, so no incarnation or thread is ever started.
+  for (const std::uint32_t shards :
+       {runtime::kMaxShards + 1, std::numeric_limits<std::uint32_t>::max()}) {
+    SCOPED_TRACE(shards);
+    runtime::ShardedConfig config;
+    config.shards = shards;
+    int factory_calls = 0;
+    const runtime::MonitorFactory factory =
+        [&factory_calls](std::uint32_t shard, core::SampleCallback on_sample) {
+          ++factory_calls;
+          return runtime::dart_factory(core::DartConfig{})(
+              shard, std::move(on_sample));
+        };
+    EXPECT_THROW(runtime::ShardedMonitor monitor(config, factory),
+                 std::invalid_argument);
+    EXPECT_EQ(factory_calls, 0);
+  }
 }
 
 TEST(ShardedEdge, EmptyStream) {
